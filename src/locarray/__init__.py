@@ -3,127 +3,53 @@
 The package computes exact optimal column counts, constructs matching arrays
 by realizing block-size types as disjoint partial spread systems, and checks
 covering, locating, and detecting properties directly from their definitions.
+This namespace is the documented library; internals are imported from their
+modules (locarray.baranyai, locarray.formats, ...).
 """
 
 from .arrays import (
-    Interaction,
-    RowSet,
     TestArray,
     Verdict,
-    array_to_partitions,
     generate_la,
-    rho,
     spreads_to_array,
     verify_ca2,
     verify_da11,
     verify_la,
 )
-from .baranyai import (
-    DEFAULT_MAX_N,
-    FILL,
-    REQUESTED,
-    CapExceededError,
-    Group,
-    RealizationCheck,
-    RealizationState,
-    Spread,
-    SpreadSystem,
-    StepInfeasibleError,
-    StepNetwork,
-    advance,
-    build_step_network,
-    check_realization,
-    init_realization,
-    integral_step_assignment,
-    realize,
-)
+from .baranyai import CapExceededError, realize
 from .combinatorics import (
     ALL_VARIANTS,
     VARIANT_11,
     VARIANT_1_BAR1,
     VARIANT_BAR1_1,
     VARIANT_BAR1_BAR1,
-    VARIANT_LABELS,
-    AsymptoticEstimate,
-    BoundParams,
     Variant,
-    asymptotic_rows,
-    binary_entropy,
-    binomial,
-    bound_params,
-    inequality_failures,
     max_columns,
 )
-from .oracle import enumerate_partitions, max_k_exhaustive, verify_by_definition
-from .spread_types import (
-    Admissibility,
-    FullType,
-    InadmissibleTypeError,
-    Shape,
-    VType,
-    balanced_shape,
-    build_optimal_type,
-    build_variant_type,
-    is_admissible,
-    make_full,
-    offset_shape,
-)
+from .oracle import max_k_exhaustive, verify_by_definition
+from .spread_types import Shape, VType, build_optimal_type, build_variant_type, is_admissible
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_VARIANTS",
-    "Admissibility",
-    "AsymptoticEstimate",
-    "BoundParams",
     "CapExceededError",
-    "DEFAULT_MAX_N",
-    "FILL",
-    "FullType",
-    "Group",
-    "InadmissibleTypeError",
-    "Interaction",
-    "REQUESTED",
-    "RealizationCheck",
-    "RealizationState",
-    "RowSet",
     "Shape",
-    "Spread",
-    "SpreadSystem",
-    "StepInfeasibleError",
-    "StepNetwork",
     "TestArray",
     "VARIANT_11",
     "VARIANT_1_BAR1",
     "VARIANT_BAR1_1",
     "VARIANT_BAR1_BAR1",
-    "VARIANT_LABELS",
     "VType",
     "Variant",
     "Verdict",
-    "advance",
-    "array_to_partitions",
-    "asymptotic_rows",
-    "balanced_shape",
-    "binary_entropy",
-    "binomial",
-    "bound_params",
     "build_optimal_type",
-    "build_step_network",
     "build_variant_type",
-    "check_realization",
-    "enumerate_partitions",
     "generate_la",
-    "inequality_failures",
-    "init_realization",
-    "integral_step_assignment",
     "is_admissible",
-    "make_full",
     "max_columns",
     "max_k_exhaustive",
-    "offset_shape",
     "realize",
-    "rho",
     "spreads_to_array",
     "verify_by_definition",
     "verify_ca2",

@@ -14,8 +14,6 @@ from .combinatorics import VARIANT_11, Variant, max_columns
 from .spread_types import build_variant_type
 
 __all__ = [
-    "Interaction",
-    "RowSet",
     "TestArray",
     "Verdict",
     "array_to_partitions",
@@ -26,9 +24,6 @@ __all__ = [
     "verify_da11",
     "verify_la",
 ]
-
-Interaction = frozenset  # of (column, symbol) pairs; frozenset() is the empty interaction
-RowSet = frozenset  # of 1-based row indices
 
 
 @dataclass(frozen=True)
@@ -75,6 +70,21 @@ class Verdict:
         return self.ok
 
 
+def _class_masks(arr: TestArray) -> list[list[int]]:
+    """Per column, its v row classes as bitmasks: bit r-1 of class s is set when
+    row r shows symbol s. The one place where classes are read off the rows."""
+    masks = [[0] * arr.v for _ in range(arr.k)]
+    for r, row in enumerate(arr.rows):
+        bit = 1 << r
+        for classes, s in zip(masks, row):
+            classes[s] |= bit
+    return masks
+
+
+def _row_set(mask: int) -> frozenset[int]:
+    return frozenset(r + 1 for r in range(mask.bit_length()) if mask >> r & 1)
+
+
 def rho(arr: TestArray, interaction) -> frozenset[int]:
     """Rows covering the interaction; all rows for the empty interaction."""
     pairs = sorted(interaction)
@@ -85,22 +95,16 @@ def rho(arr: TestArray, interaction) -> frozenset[int]:
             raise ValueError(f"column {c} out of range 1..{arr.k}")
         if not 0 <= s < arr.v:
             raise ValueError(f"symbol {s} out of range 0..{arr.v - 1}")
-    return frozenset(
-        r
-        for r in range(1, arr.n_rows + 1)
-        if all(arr.rows[r - 1][c - 1] == s for c, s in pairs)
-    )
+    masks = _class_masks(arr)
+    covered = (1 << arr.n_rows) - 1
+    for c, s in pairs:
+        covered &= masks[c - 1][s]
+    return _row_set(covered)
 
 
 def array_to_partitions(arr: TestArray) -> list[list[frozenset[int]]]:
     """Per column, the v row classes (class s holds the rows showing symbol s)."""
-    out = []
-    for c in range(arr.k):
-        classes: list[set[int]] = [set() for _ in range(arr.v)]
-        for ri, row in enumerate(arr.rows, start=1):
-            classes[row[c]].add(ri)
-        out.append([frozenset(cl) for cl in classes])
-    return out
+    return [[_row_set(m) for m in classes] for classes in _class_masks(arr)]
 
 
 def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
@@ -110,9 +114,9 @@ def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
     d-barred additionally forbids empty classes; t-barred additionally forbids
     a class equal to the full row set.
     """
-    full = frozenset(range(1, arr.n_rows + 1))
-    seen: dict[frozenset[int], tuple[int, int]] = {}
-    for c, classes in enumerate(array_to_partitions(arr), start=1):
+    full = (1 << arr.n_rows) - 1
+    seen: dict[int, tuple[int, int]] = {}
+    for c, classes in enumerate(_class_masks(arr), start=1):
         for s, rows in enumerate(classes):
             if variant.d_barred and not rows:
                 return Verdict(False, "empty class", ((c, s),))
@@ -126,12 +130,12 @@ def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
 
 def verify_ca2(arr: TestArray) -> Verdict:
     """Strength-2 coverage: every symbol pair appears in some row, for every column pair."""
-    parts = array_to_partitions(arr)
-    for c1 in range(len(parts)):
-        for c2 in range(c1 + 1, len(parts)):
-            for s1, r1 in enumerate(parts[c1]):
-                for s2, r2 in enumerate(parts[c2]):
-                    if not (r1 & r2):
+    masks = _class_masks(arr)
+    for c1, classes1 in enumerate(masks):
+        for c2 in range(c1 + 1, len(masks)):
+            for s1, r1 in enumerate(classes1):
+                for s2, r2 in enumerate(masks[c2]):
+                    if not r1 & r2:
                         return Verdict(
                             False, "uncovered symbol pair", ((c1 + 1, s1), (c2 + 1, s2))
                         )
@@ -142,12 +146,12 @@ def verify_da11(arr: TestArray) -> Verdict:
     """Inclusion-freeness: no column class contained in another (an antichain)."""
     labeled = [
         (c, s, rows)
-        for c, classes in enumerate(array_to_partitions(arr), start=1)
+        for c, classes in enumerate(_class_masks(arr), start=1)
         for s, rows in enumerate(classes)
     ]
     for i, (c1, s1, r1) in enumerate(labeled):
         for j, (c2, s2, r2) in enumerate(labeled):
-            if i != j and r1 <= r2:
+            if r1 & r2 == r1 and i != j:
                 return Verdict(False, "class contained in another", ((c1, s1), (c2, s2)))
     return Verdict(True)
 

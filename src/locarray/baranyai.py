@@ -124,11 +124,6 @@ class StepNetwork:
     cells: tuple[Cell, ...]
     classes: tuple[ClassNode, ...]
 
-    @property
-    def slot_total(self) -> int:
-        """Total of all target sizes in a full type: n * 2^(n-1)."""
-        return self.n * (1 << (self.n - 1))
-
 
 def init_realization(full_type: FullType | VType) -> RealizationState:
     """Start a realization with every block empty.

@@ -12,7 +12,15 @@ import sys
 from .arrays import generate_la, verify_ca2, verify_da11, verify_la
 from .baranyai import DEFAULT_MAX_N, CapExceededError, realize
 from .combinatorics import VARIANT_LABELS, max_columns
-from .formats import format_array, format_spread_system, format_type, parse_array, parse_type
+from .formats import (
+    format_array,
+    format_oracle,
+    format_spread_system,
+    format_table,
+    format_type,
+    parse_array,
+    parse_type,
+)
 from .oracle import DEFAULT_SEARCH_CAP, max_k_exhaustive
 from .selfcheck import SUITES
 from .spread_types import build_variant_type
@@ -55,23 +63,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         print("error: empty table range", file=sys.stderr)
         return EXIT_USAGE
     vs = list(range(v_lo, v_hi + 1))
-    if args.format == "json":
-        import json
-
-        doc = {
-            "variant": variant.label,
-            "v": vs,
-            "rows": [
-                {"n": n, "values": [max_columns(n, v, variant) for v in vs]}
-                for n in range(n_lo, n_hi + 1)
-            ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return EXIT_OK
-    lines = ["N\\v " + " ".join(str(v) for v in vs)]
-    for n in range(n_lo, n_hi + 1):
-        lines.append(f"{n} " + " ".join(str(max_columns(n, v, variant)) for v in vs))
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [(n, [max_columns(n, v, variant) for v in vs]) for n in range(n_lo, n_hi + 1)]
+    _emit(format_table(variant, vs, rows, args.format), args.out)
     return EXIT_OK
 
 
@@ -116,24 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     variant = VARIANT_LABELS[args.variant]
     best, witness = max_k_exhaustive(args.N, args.v, variant, max_n=args.cap_n)
-    if args.format == "json":
-        import json
-
-        doc = {
-            "n": args.N,
-            "v": args.v,
-            "variant": variant.label,
-            "max_k": best,
-            "witness": [[sorted(cl) for cl in part] for part in witness],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return EXIT_OK
-    lines = [f"max-k {best}"]
-    for i, part in enumerate(witness, start=1):
-        lines.append(
-            f"{i}: " + " ".join(",".join(str(e) for e in sorted(cl)) if cl else "-" for cl in part)
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(format_oracle(args.N, args.v, variant, best, witness, args.format), args.out)
     return EXIT_OK
 
 
@@ -225,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on --help and usage errors
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    # Exact counts at large n have more digits than Python turns into text by
+    # default (4300, since 3.10.7); lift that limit for this call only.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapExceededError as exc:
@@ -233,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

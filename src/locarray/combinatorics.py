@@ -75,6 +75,9 @@ class BoundParams:
     (f+1)*v - n, which equals v+1 exactly when n = v-1 (mod v); s and s_prime
     are the correction sums used by the two branches of the optimal-type
     construction; columns is the exact optimum for the base variant.
+    dbar_recovers tells whether the d-barred optimum keeps that count (a
+    top-level swap makes up for the shape with an empty class) rather than
+    losing one column.
     """
 
     n: int
@@ -84,6 +87,7 @@ class BoundParams:
     s: int
     s_prime: int
     columns: int
+    dbar_recovers: bool
 
 
 def bound_params(n: int, v: int) -> BoundParams:
@@ -93,11 +97,21 @@ def bound_params(n: int, v: int) -> BoundParams:
         raise ValueError(f"need v >= 2, got {v}")
     f = (n + 1) // v
     d = (f + 1) * v - n
-    s = sum((d - f - 1 + i) * binomial(n, i) for i in range(f - d + 2, f))
-    s_prime = sum((v - f + i) * binomial(n, i) for i in range(f - v + 1, f - 1))
-    head = sum((f + 1 - i) * binomial(n, i) for i in range(f - d + 2, f + 1))
-    tail = sum(binomial(n, i) for i in range(0, f - d + 2))
-    return BoundParams(n, v, f, d, s, s_prime, head // d + tail)
+    s = s_prime = head = tail = weighted = 0
+    c = 1  # C(n, i), advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
+    for i in range(f + 1):
+        if i >= f - d + 2:
+            head += (f + 1 - i) * c
+            if i < f:
+                s += (d - f - 1 + i) * c
+        else:
+            tail += c
+        if f - v + 1 <= i < f - 1:
+            s_prime += (v - f + i) * c
+        weighted += (f + 1 - i) * c
+        c = c * (n - i) // (i + 1)
+    recovers = d >= f + 2 and weighted % d > f
+    return BoundParams(n, v, f, d, s, s_prime, head // d + tail, recovers)
 
 
 def max_columns(n: int, v: int, variant: Variant = VARIANT_11) -> int:
@@ -115,10 +129,7 @@ def max_columns(n: int, v: int, variant: Variant = VARIANT_11) -> int:
         if v > n:
             return 0
         p = bound_params(n, v)
-        weighted = sum((p.f + 1 - i) * binomial(n, i) for i in range(0, p.f + 1))
-        if p.d >= p.f + 2 and weighted % p.d > p.f:
-            return p.columns
-        return p.columns - 1
+        return p.columns if p.dbar_recovers else p.columns - 1
     if variant.t_barred and v == 2:
         return (1 << (n - 1)) - 1
     if v > n + 1:

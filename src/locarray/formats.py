@@ -5,7 +5,9 @@ space-separated symbols. Type text format: "N <n>" and "v <v>" header lines,
 then one "<count> x <sizes...>" line per distinct shape. Spread-system text
 format: "N <n>" and "spreads <count>" header lines, then one line per spread
 with its tag and comma-joined blocks ("-" for the empty block). JSON mirrors
-carry the same fields. Parsers auto-detect JSON input.
+carry the same fields. Parsers auto-detect JSON input and raise only
+ValueError on a malformed document. Table and oracle documents are written
+only.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ import json
 
 from .arrays import TestArray
 from .baranyai import SpreadSystem
+from .combinatorics import Variant
 from .spread_types import Shape, VType
 
 __all__ = [
     "format_array",
+    "format_oracle",
     "format_spread_system",
+    "format_table",
     "format_type",
     "parse_array",
     "parse_type",
@@ -27,6 +32,25 @@ __all__ = [
 
 def _looks_like_json(text: str) -> bool:
     return text.lstrip().startswith("{")
+
+
+def _fields(doc, *keys: str) -> list:
+    """The values of the given keys of a JSON object."""
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        raise ValueError(f"expected a JSON object with the keys {', '.join(keys)}")
+    return [doc[key] for key in keys]
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON list, got {value!r:.40}")
+    return value
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r:.40}")
+    return value
 
 
 def format_type(t: VType, fmt: str = "text") -> str:
@@ -47,9 +71,12 @@ def format_type(t: VType, fmt: str = "text") -> str:
 
 def parse_type(text: str) -> VType:
     if _looks_like_json(text):
-        doc = json.loads(text)
-        shapes = [(Shape(tuple(item["entries"])), int(item["count"])) for item in doc["shapes"]]
-        return VType(int(doc["n"]), int(doc["v"]), shapes)
+        n, v, items = _fields(json.loads(text), "n", "v", "shapes")
+        shapes = []
+        for item in _list(items):
+            entries, count = _fields(item, "entries", "count")
+            shapes.append((Shape(tuple(_int(e) for e in _list(entries))), _int(count)))
+        return VType(_int(n), _int(v), shapes)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("N ") or not lines[1].startswith("v "):
         raise ValueError("type document must start with 'N <int>' and 'v <int>' lines")
@@ -100,25 +127,62 @@ def format_array(arr: TestArray, fmt: str = "text") -> str:
 
 def parse_array(text: str) -> TestArray:
     if _looks_like_json(text):
-        doc = json.loads(text)
-        arr = TestArray(tuple(tuple(int(a) for a in r) for r in doc["rows"]), int(doc["v"]))
-        if arr.n_rows != int(doc["n"]) or arr.k != int(doc["k"]):
-            raise ValueError("array JSON header disagrees with its rows")
-        return arr
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty array document")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError("array header must be 'n k v'")
-    n, k, v = (int(x) for x in header)
-    rows = []
-    body = lines[1:]
-    if len(body) < n:
-        raise ValueError(f"expected {n} rows, found {len(body)}")
-    for ln in body[:n]:
-        row = tuple(int(a) for a in ln.split())
-        if len(row) != k:
-            raise ValueError(f"expected {k} entries per row, got {len(row)}")
-        rows.append(row)
-    return TestArray(tuple(rows), v)
+        n, k, v, rows = _fields(json.loads(text), "n", "k", "v", "rows")
+        n, k = _int(n), _int(k)
+        arr = TestArray(tuple(tuple(_int(a) for a in _list(r)) for r in _list(rows)), _int(v))
+    else:
+        lines = text.splitlines()
+        if not lines:
+            raise ValueError("empty array document")
+        header = lines[0].split()
+        if len(header) != 3:
+            raise ValueError("array header must be 'n k v'")
+        n, k, v = (int(x) for x in header)
+        body = lines[1:]
+        if len(body) < n:
+            raise ValueError(f"expected {n} rows, found {len(body)}")
+        if any(ln.strip() for ln in body[n:]):
+            raise ValueError(f"unexpected lines after the {n} declared rows")
+        rows = []
+        for ln in body[:n]:
+            row = tuple(int(a) for a in ln.split())
+            if len(row) != k:
+                raise ValueError(f"expected {k} entries per row, got {len(row)}")
+            rows.append(row)
+        arr = TestArray(tuple(rows), v)
+    if arr.n_rows != n or arr.k != k:
+        raise ValueError("array header disagrees with its rows")
+    return arr
+
+
+def format_table(variant: Variant, vs: list[int], rows: list[tuple[int, list[int]]],
+                 fmt: str = "text") -> str:
+    """A grid of optimal column counts: one (n, values for each v in vs) per row."""
+    if fmt == "json":
+        doc = {
+            "variant": variant.label,
+            "v": vs,
+            "rows": [{"n": n, "values": values} for n, values in rows],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    lines = ["N\\v " + " ".join(str(v) for v in vs)]
+    for n, values in rows:
+        lines.append(f"{n} " + " ".join(str(x) for x in values))
+    return "\n".join(lines) + "\n"
+
+
+def format_oracle(n: int, v: int, variant: Variant, best: int, witness, fmt: str = "text") -> str:
+    """The exhaustive maximum and its witness partitions, classes sorted."""
+    if fmt == "json":
+        doc = {
+            "n": n,
+            "v": v,
+            "variant": variant.label,
+            "max_k": best,
+            "witness": [[sorted(cl) for cl in part] for part in witness],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"max-k {best}"]
+    for i, part in enumerate(witness, start=1):
+        lines.append(f"{i}: " + " ".join(_block_text(tuple(sorted(cl))) for cl in part))
+    return "\n".join(lines) + "\n"

@@ -176,9 +176,11 @@ def balanced_shape(n: int, v: int, i: int) -> Shape:
     Defined for 0 <= i <= floor((n+1)/v), except at the top value when
     n = v - 1 (mod v), where the remaining entries would drop below i.
     """
-    p = bound_params(n, v)
-    if not 0 <= i <= p.f:
-        raise ValueError(f"smallest entry {i} out of range 0..{p.f} for n={n}, v={v}")
+    if n < 1 or v < 2:
+        raise ValueError(f"need n >= 1 and v >= 2; got n={n}, v={v}")
+    f = (n + 1) // v
+    if not 0 <= i <= f:
+        raise ValueError(f"smallest entry {i} out of range 0..{f} for n={n}, v={v}")
     q, r = divmod(n - i, v - 1)
     shape = Shape((i,) + (q,) * (v - 1 - r) + (q + 1,) * r)
     if shape.entries[0] != i:
@@ -242,8 +244,7 @@ def build_variant_type(n: int, v: int, variant: Variant) -> VType:
             raise ValueError(f"need 2 <= v <= n for this variant; got v={v}, n={n}")
         p = bound_params(n, v)
         t = build_optimal_type(n, v).without_shape(balanced_shape(n, v, 0))
-        weighted = sum((p.f + 1 - i) * binomial(n, i) for i in range(0, p.f + 1))
-        if p.d >= p.f + 2 and weighted % p.d > p.f:
+        if p.dbar_recovers:
             if n % v != v - 1:
                 t = t.with_shape(balanced_shape(n, v, p.f))
             else:

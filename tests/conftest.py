@@ -2,7 +2,8 @@
 
 import random
 
-from locarray import Shape, TestArray, VType, binomial
+from locarray import Shape, TestArray, VType
+from locarray.combinatorics import binomial
 
 
 def random_array(rng: random.Random, max_rows=6, max_cols=6, max_symbols=4) -> TestArray:

@@ -12,24 +12,20 @@ from collections import Counter
 from locarray import (
     ALL_VARIANTS,
     VARIANT_11,
-    REQUESTED,
     Shape,
     VType,
-    advance,
-    asymptotic_rows,
     build_optimal_type,
-    check_realization,
-    inequality_failures,
-    init_realization,
+    generate_la,
     is_admissible,
-    make_full,
     max_columns,
     max_k_exhaustive,
     realize,
     verify_by_definition,
     verify_la,
 )
-from locarray.arrays import generate_la
+from locarray.baranyai import REQUESTED, advance, check_realization, init_realization
+from locarray.combinatorics import asymptotic_rows, inequality_failures
+from locarray.spread_types import make_full
 from conftest import random_admissible_type
 
 

@@ -8,20 +8,18 @@ from locarray import (
     VARIANT_1_BAR1,
     VARIANT_BAR1_1,
     VARIANT_BAR1_BAR1,
-    Spread,
-    SpreadSystem,
     TestArray,
-    array_to_partitions,
     build_optimal_type,
     generate_la,
     max_columns,
     realize,
-    rho,
     spreads_to_array,
     verify_ca2,
     verify_da11,
     verify_la,
 )
+from locarray.arrays import array_to_partitions, rho
+from locarray.baranyai import Spread, SpreadSystem
 from conftest import random_array
 
 # the canonical optimal 3x4 array on two symbols
@@ -191,6 +189,51 @@ class TestVerifyDa11:
             assert bool(verify_la(arr, VARIANT_BAR1_BAR1)) == bool(verify_la(arr, VARIANT_BAR1_1))
             if arr.v >= 3 and verify_la(arr, VARIANT_11):
                 assert verify_la(arr, VARIANT_1_BAR1)
+
+
+def set_classes(arr):
+    """Reference column classes: per column, v frozensets of 1-based rows."""
+    return [
+        [frozenset(r for r in range(1, arr.n_rows + 1) if arr.rows[r - 1][c] == s)
+         for s in range(arr.v)]
+        for c in range(arr.k)
+    ]
+
+
+def reference_ca2(arr):
+    parts = set_classes(arr)
+    for c1 in range(len(parts)):
+        for c2 in range(c1 + 1, len(parts)):
+            for s1, r1 in enumerate(parts[c1]):
+                for s2, r2 in enumerate(parts[c2]):
+                    if not (r1 & r2):
+                        return False, ((c1 + 1, s1), (c2 + 1, s2))
+    return True, ()
+
+
+def reference_da11(arr):
+    labeled = [(c, s, rows) for c, classes in enumerate(set_classes(arr), start=1)
+               for s, rows in enumerate(classes)]
+    for i, (c1, s1, r1) in enumerate(labeled):
+        for j, (c2, s2, r2) in enumerate(labeled):
+            if i != j and r1 <= r2:
+                return False, ((c1, s1), (c2, s2))
+    return True, ()
+
+
+class TestVerifiersAgainstRowSets:
+    def test_random_arrays(self):
+        rng = random.Random(2024)
+        outcomes = {"ca2": set(), "da11": set()}
+        for _ in range(1200):
+            arr = random_array(rng, max_rows=7, max_cols=6, max_symbols=4)
+            for name, check, reference in (("ca2", verify_ca2, reference_ca2),
+                                           ("da11", verify_da11, reference_da11)):
+                got = check(arr)
+                assert (got.ok, got.witness) == reference(arr), (name, arr)
+                outcomes[name].add(got.ok)
+        # both verdicts occur, so the witnesses of failures and the passes are compared
+        assert outcomes == {"ca2": {True, False}, "da11": {True, False}}
 
 
 class TestGenerateLa:

@@ -4,24 +4,19 @@ from collections import Counter
 
 import pytest
 
-from locarray import (
+from locarray import CapExceededError, Shape, VType, build_optimal_type, realize
+from locarray.baranyai import (
     FILL,
     REQUESTED,
-    CapExceededError,
     Group,
-    InadmissibleTypeError,
     RealizationState,
-    Shape,
-    VType,
     advance,
-    build_optimal_type,
     build_step_network,
     check_realization,
     init_realization,
     integral_step_assignment,
-    make_full,
-    realize,
 )
+from locarray.spread_types import InadmissibleTypeError, make_full
 from conftest import random_admissible_type
 
 

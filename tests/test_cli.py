@@ -1,7 +1,8 @@
 import io
 import json
+import sys
 
-from locarray import cli
+from locarray import cli, max_columns
 from locarray.formats import parse_array, parse_type
 
 
@@ -29,6 +30,19 @@ class TestBound:
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(["bound", "--N", "3", "--v", "2", "--bogus"], capsys)
         assert code == 2
+
+    def test_more_digits_than_the_default_int_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(["bound", "--N", "20000", "--v", "3"], capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        digits = out.strip()
+        assert len(digits) > 4300
+        value = 0  # read in chunks, under the default limit
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == max_columns(20000, 3)
 
 
 class TestTable:
@@ -122,6 +136,13 @@ class TestVerify:
         assert "two classes with the same row set" in out
         assert "(column 1, symbol 0)" in out and "(column 2, symbol 0)" in out
 
+    def test_trailing_rows_rejected(self, tmp_path, capsys):
+        arr_file = tmp_path / "arr.txt"
+        arr_file.write_text("2 1 2\n0\n1\n9 9 9\n")
+        code, out, err = run(["verify", str(arr_file)], capsys)
+        assert code == 2 and out == ""
+        assert "after the 2 declared rows" in err
+
     def test_symbol_count_cross_check(self, tmp_path, capsys):
         arr_file = tmp_path / "arr.txt"
         arr_file.write_text("2 1 2\n0\n1\n")
@@ -146,6 +167,29 @@ class TestVerify:
             assert code == 0
             code, out, _ = run(["verify", str(arr_file), "--variant", variant], capsys)
             assert code == 0
+
+
+class TestMalformedDocuments:
+    CASES = [
+        ("verify", '{"n": 2, "v": 2}'),
+        ("verify", '{"n": 2, "k": 1, "v": 2, "rows": 5}'),
+        ("verify", '{"n": 2, "k": 1, "v": 2, "rows": [[0], [1.5]]}'),
+        ("verify", '{"n": "2", "k": 1, "v": 2, "rows": [[0], [1]]}'),
+        ("verify", '{"n": 2, "k": 1, "v": 2, "rows": [[0], [1]]'),
+        ("realize", '{"n": 3, "v": 2}'),
+        ("realize", '{"n": 3, "v": 2, "shapes": [{"count": 1}]}'),
+        ("realize", '{"n": 3, "v": 2, "shapes": [{"count": 1, "entries": "12"}]}'),
+        ("realize", '{"n": 3, "v": 2, "shapes": {"count": 1, "entries": [1, 2]}}'),
+        ("realize", '{"n": null, "v": 2, "shapes": []}'),
+    ]
+
+    def test_usage_error_without_traceback(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        for command, text in self.CASES:
+            doc.write_text(text)
+            code, _, err = run([command, str(doc)], capsys)
+            assert code == 2, (command, text)
+            assert err.startswith("error: ") and "Traceback" not in err, (command, text)
 
 
 class TestOracle:

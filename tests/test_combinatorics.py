@@ -7,14 +7,16 @@ from locarray import (
     VARIANT_1_BAR1,
     VARIANT_BAR1_1,
     VARIANT_BAR1_BAR1,
-    VARIANT_LABELS,
     Variant,
+    max_columns,
+)
+from locarray.combinatorics import (
+    VARIANT_LABELS,
     asymptotic_rows,
     binary_entropy,
     binomial,
     bound_params,
     inequality_failures,
-    max_columns,
 )
 
 

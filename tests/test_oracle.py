@@ -8,12 +8,12 @@ from locarray import (
     VARIANT_BAR1_1,
     CapExceededError,
     TestArray,
-    enumerate_partitions,
     max_columns,
     max_k_exhaustive,
     verify_by_definition,
     verify_la,
 )
+from locarray.oracle import enumerate_partitions
 from conftest import random_array
 
 ARR34 = TestArray(((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)), v=2)

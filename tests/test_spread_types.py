@@ -7,19 +7,15 @@ from locarray import (
     VARIANT_1_BAR1,
     VARIANT_BAR1_1,
     VARIANT_BAR1_BAR1,
-    InadmissibleTypeError,
     Shape,
     VType,
-    balanced_shape,
-    binomial,
-    bound_params,
     build_optimal_type,
     build_variant_type,
     is_admissible,
-    make_full,
     max_columns,
-    offset_shape,
 )
+from locarray.combinatorics import binomial, bound_params
+from locarray.spread_types import InadmissibleTypeError, balanced_shape, make_full, offset_shape
 from conftest import random_admissible_type
 
 
@@ -245,6 +241,15 @@ class TestVariantType:
                     assert is_admissible(t)
                     if variant.d_barred:
                         assert all(s.entries[0] >= 1 for s, _ in t.items())
+
+    def test_size_equals_the_bound(self):
+        points = [(n, v) for n in range(1, 61) for v in range(2, n + 2)]
+        points += [(n, v) for n in range(61, 201) for v in (2, 3, 4, 7)]
+        for n, v in points:
+            for variant in ALL_VARIANTS:
+                if variant.d_barred and v > n:
+                    continue
+                assert build_variant_type(n, v, variant).size() == max_columns(n, v, variant)
 
     def test_both_barred_equals_d_barred(self):
         for n in range(2, 10):
