@@ -1,14 +1,17 @@
 """Step-by-step realization of admissible types as disjoint partial spread systems.
 
-Elements 1..n are assigned one at a time. After placing the first tau
-elements, the state invariant is that every pair (S, m) of a current block S
-and a target size m occurs exactly C(n - tau, m - |S|) times across all
-groups. Each step then reduces to an exact-demand assignment problem: the
-fractional solution routes (m - |S|) / (n - tau) of every incomplete block
-toward its cell (the equivalence class of blocks with the same content and
-target), and an integral rounding within one unit per aggregated arc always
-exists because the constraint matrix is a network matrix. The rounding is
-found by flooring and routing the leftovers along augmenting paths.
+Elements 1..n are assigned one at a time, and only the requested groups are
+kept. After placing the first tau elements, the state invariant is that no
+pair (S, m) of a current block S and a target size m occurs more than
+C(n - tau, m - |S|) times, and no block holds an element above tau; the gap to
+the bound is the padding that would complete the powerset, never built. Each
+step is then a bounded assignment problem: the fractional solution routes
+(m - |S|) / (n - tau) of every incomplete block toward its cell (the blocks
+with the same content and target), each cell total must stay within the
+bounds that keep the invariant, and an integral rounding within one unit per
+aggregated arc exists because the constraint matrix is a network matrix. It is
+found by flooring and routing the leftovers along augmenting paths: to cells
+below their lower bound first, then to any option below its upper bound.
 
 Determinism contract: elements are placed in increasing order; group classes
 are processed in lexicographic order of their encoded state; within a class,
@@ -27,8 +30,6 @@ from .spread_types import FullType, VType, make_full
 
 __all__ = [
     "DEFAULT_MAX_N",
-    "FILL",
-    "REQUESTED",
     "CapExceededError",
     "Cell",
     "ClassNode",
@@ -49,9 +50,6 @@ __all__ = [
 
 DEFAULT_MAX_N = 16
 
-REQUESTED = "requested"
-FILL = "fill"
-
 Block = tuple[int, ...]
 
 
@@ -65,11 +63,10 @@ class StepInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Group:
-    """One future partial spread: current blocks and their target sizes."""
+    """One requested partial spread: current blocks and their target sizes."""
 
     blocks: tuple[Block, ...]
     targets: tuple[int, ...]
-    tag: str
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ class RealizationCheck:
     block: Block | None = None
     target: int | None = None
     observed: int | None = None
-    expected: int | None = None
+    expected: int | None = None  # the most occurrences the invariant allows
 
     def __bool__(self) -> bool:
         return self.ok
@@ -95,11 +92,12 @@ class RealizationCheck:
 
 @dataclass(frozen=True)
 class Cell:
-    """All blocks with the same content and target size form one demand node."""
+    """Blocks with the same content and target; low to high of them get the next element."""
 
     block: Block
     target: int
-    demand: int
+    low: int
+    high: int
 
 
 @dataclass(frozen=True)
@@ -120,49 +118,31 @@ class StepNetwork:
     n: int
     tau: int
     den: int  # n - tau, the common denominator of all fractional arc values
-    chi: int  # number of groups that must skip this element
     cells: tuple[Cell, ...]
     classes: tuple[ClassNode, ...]
 
 
-def init_realization(full_type: FullType | VType) -> RealizationState:
-    """Start a realization with every block empty.
+def init_realization(full_type: FullType) -> RealizationState:
+    """Start a realization of the requested shapes, with every block empty.
 
-    The input must be full: exactly C(n, x) slots of every size x. Plain
-    admissible types go through make_full (or realize) first. A bare VType is
-    accepted and treated as all-requested.
+    The input must be full (make_full, or realize, builds it); its fill is
+    left implicit as the slack of the counting invariant.
     """
-    if isinstance(full_type, VType):
-        full_type = FullType(full_type.n, full_type, {})
-    n = full_type.n
-    for x in range(n + 1):
-        have = full_type.sigma(x)
-        want = binomial(n, x)
-        if have != want:
-            raise ValueError(f"type is not full: {have} slots of size {x}, need {want}")
+    if not full_type.is_full():
+        raise ValueError("type is not full; pass it through make_full first")
     groups: list[Group] = []
     for shape, count in full_type.requested.items():
         targets = shape.entries
         empty = ((),) * len(targets)
-        for _ in range(count):
-            groups.append(Group(empty, targets, REQUESTED))
-    for shape, count in sorted(full_type.fill.items()):
-        targets = shape.entries
-        empty = ((),) * len(targets)
-        for _ in range(count):
-            groups.append(Group(empty, targets, FILL))
-    total = sum(sum(g.targets) for g in groups)
-    if total != n * (1 << (n - 1)):
-        raise RuntimeError("internal: slot total of a full type is off")
-    return RealizationState(n, 0, tuple(groups))
+        groups.extend(Group(empty, targets) for _ in range(count))
+    return RealizationState(full_type.n, 0, tuple(groups))
 
 
 def check_realization(state: RealizationState) -> RealizationCheck:
     """Verify the counting invariant of a partial realization.
 
-    Every realized (block, target) pair must occur exactly
-    C(n - tau, target - |block|) times, and every pair with a positive
-    expected count must be realized.
+    Every (block, target) pair may occur at most C(n - tau, target - |block|)
+    times, and at most zero times if the block holds an element outside 1..tau.
     """
     n, tau = state.n, state.tau
     counts: dict[tuple[Block, int], int] = {}
@@ -170,43 +150,40 @@ def check_realization(state: RealizationState) -> RealizationCheck:
         for blk, m in zip(g.blocks, g.targets):
             counts[(blk, m)] = counts.get((blk, m), 0) + 1
     for (blk, m), observed in sorted(counts.items()):
-        expected = binomial(n - tau, m - len(blk))
-        if observed != expected:
+        placed = all(1 <= e <= tau for e in blk)
+        expected = binomial(n - tau, m - len(blk)) if placed else 0
+        if observed > expected:
             return RealizationCheck(False, blk, m, observed, expected)
-    if sum(counts.values()) != 1 << n:
-        # all realized pairs match, so some expected pair is missing entirely
-        for size in range(tau + 1):
-            for subset in combinations(range(1, tau + 1), size):
-                for m in range(size, n + 1):
-                    expected = binomial(n - tau, m - size)
-                    if expected and (subset, m) not in counts:
-                        return RealizationCheck(False, subset, m, 0, expected)
     return RealizationCheck(True)
 
 
 def build_step_network(state: RealizationState) -> StepNetwork:
-    """Set up the exact-demand assignment that places element tau + 1."""
+    """Set up the bounded assignment that places element tau + 1.
+
+    A cell holding c blocks that still need `need` elements keeps the
+    invariant when between c - C(den - 1, need) and C(den - 1, need - 1) of
+    them receive the element.
+    """
     n, tau = state.n, state.tau
     if tau >= n:
         raise ValueError("realization is already complete")
     den = n - tau
-    k = len(state.groups)
-    chi = k - (1 << (n - 1))
-    if chi < 0:
-        raise ValueError("not a realization state: too few groups for a full type")
 
-    open_pairs: set[tuple[Block, int]] = set()
+    open_counts: dict[tuple[Block, int], int] = {}
     for g in state.groups:
         for blk, m in zip(g.blocks, g.targets):
             if m > len(blk):
-                open_pairs.add((blk, m))
+                open_counts[(blk, m)] = open_counts.get((blk, m), 0) + 1
     cells: list[Cell] = []
     cell_index: dict[tuple[Block, int], int] = {}
-    for blk, m in sorted(open_pairs):
+    for (blk, m), count in sorted(open_counts.items()):
+        need = m - len(blk)
+        low = count - binomial(den - 1, need)
+        high = binomial(den - 1, need - 1)
+        if low > high:
+            raise ValueError("not a realization state: a cell holds more blocks than it may")
         cell_index[(blk, m)] = len(cells)
-        cells.append(Cell(blk, m, binomial(den - 1, m - 1 - len(blk))))
-    if sum(c.demand for c in cells) + chi != k:
-        raise ValueError("not a realization state: cell demands do not balance")
+        cells.append(Cell(blk, m, low, high))
 
     by_key: dict[tuple, list[int]] = {}
     for gi, g in enumerate(state.groups):
@@ -235,7 +212,7 @@ def build_step_network(state: RealizationState) -> StepNetwork:
         if skip_num < 0:
             raise ValueError("not a realization state: open slots exceed remaining elements")
         classes.append(ClassNode(members, tuple(arcs), skip_num))
-    return StepNetwork(n, tau, den, chi, tuple(cells), tuple(classes))
+    return StepNetwork(n, tau, den, tuple(cells), tuple(classes))
 
 
 def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
@@ -243,9 +220,10 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
 
     Floors the fractional flow on every aggregated arc, then routes the
     leftover units along augmenting paths over the arcs that carry a
-    fractional part. The result meets every cell demand exactly, sends chi
-    groups to the skip option, and stays within one unit of the fractional
-    flow on each aggregated arc.
+    fractional part: first to cells below their lower bound, then to any
+    option below its upper bound (skipping has none). The result keeps every
+    cell within its bounds and stays within one unit of the fractional flow
+    on each aggregated arc.
     """
     den = net.den
     ncells = len(net.cells)
@@ -254,78 +232,80 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
 
     base: list[dict[int, int]] = []
     frac_opts: list[list[int]] = []
-    rem_supply = [0] * nclasses
-    rem_demand = [c.demand for c in net.cells] + [net.chi]
+    rem_supply: list[int] = []
+    tally = [0] * (ncells + 1)  # units each option receives so far
 
     for cls in net.classes:
         z: dict[int, int] = {}
         opts: list[int] = []
-        assigned = 0
-        for cell_i, num, _pos in cls.arcs:
+        for opt, num in [(ci, num) for ci, num, _pos in cls.arcs] + [(skip, cls.skip_numerator)]:
             q, r = divmod(num, den)
             if q:
-                z[cell_i] = q
-                rem_demand[cell_i] -= q
-                assigned += q
+                z[opt] = q
+                tally[opt] += q
             if r:
-                opts.append(cell_i)
-        q, r = divmod(cls.skip_numerator, den)
-        if q:
-            z[skip] = q
-            rem_demand[skip] -= q
-            assigned += q
-        if r:
-            opts.append(skip)
+                opts.append(opt)
         base.append(z)
         frac_opts.append(opts)
-        rem_supply[len(base) - 1] = len(cls.members) - assigned
+        rem_supply.append(len(cls.members) - sum(z.values()))
 
-    if min(rem_demand, default=0) < 0 or min(rem_supply, default=0) < 0:
+    low = [c.low for c in net.cells] + [0]
+    high = [c.high for c in net.cells] + [sum(len(cls.members) for cls in net.classes)]
+    if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
     # one extra unit may ride on each fractional arc
     extra: list[set[int]] = [set() for _ in range(nclasses)]
     holders: list[list[int]] = [[] for _ in range(ncells + 1)]
 
-    for start in range(nclasses):
-        while rem_supply[start] > 0:
-            parent_opt: dict[int, int] = {}
-            parent_cls: dict[int, int] = {}
-            queue = deque([start])
-            seen_cls = {start}
-            goal = -1
-            while queue and goal < 0:
-                ci = queue.popleft()
-                for opt in frac_opts[ci]:
-                    if opt in parent_opt or opt in extra[ci]:
-                        continue
-                    parent_opt[opt] = ci
-                    if rem_demand[opt] > 0:
-                        goal = opt
+    # Phase 1 meets the lower bounds. When a search fails, no class it saw can
+    # reach a cell below its lower bound, now or after later augmentations, so
+    # all of them drop out. Phase 2 places the rest under the upper bounds.
+    for cap, phase_one in ((low, True), (high, False)):
+        dead = [False] * nclasses
+        for start in range(nclasses):
+            while rem_supply[start] > 0 and not dead[start]:
+                parent_opt: dict[int, int] = {}
+                parent_cls: dict[int, int] = {}
+                queue = deque([start])
+                seen_cls = {start}
+                goal = -1
+                while queue and goal < 0:
+                    ci = queue.popleft()
+                    for opt in frac_opts[ci]:
+                        if opt in parent_opt or opt in extra[ci]:
+                            continue
+                        parent_opt[opt] = ci
+                        if tally[opt] < cap[opt]:
+                            goal = opt
+                            break
+                        for other in holders[opt]:
+                            if other not in seen_cls and not dead[other]:
+                                seen_cls.add(other)
+                                parent_cls[other] = opt
+                                queue.append(other)
+                if goal < 0:
+                    if not phase_one:
+                        raise StepInfeasibleError("no augmenting path; corrupted state")
+                    for ci in seen_cls:
+                        dead[ci] = True
+                    continue
+                tally[goal] += 1
+                rem_supply[start] -= 1
+                opt = goal
+                while True:
+                    ci = parent_opt[opt]
+                    extra[ci].add(opt)
+                    holders[opt].append(ci)
+                    if ci == start:
                         break
-                    for other in holders[opt]:
-                        if other not in seen_cls:
-                            seen_cls.add(other)
-                            parent_cls[other] = opt
-                            queue.append(other)
-            if goal < 0:
-                raise StepInfeasibleError("no augmenting path; state is not a valid realization")
-            rem_demand[goal] -= 1
-            rem_supply[start] -= 1
-            opt = goal
-            while True:
-                ci = parent_opt[opt]
-                extra[ci].add(opt)
-                holders[opt].append(ci)
-                if ci == start:
-                    break
-                prev = parent_cls[ci]
-                extra[ci].remove(prev)
-                holders[prev].remove(ci)
-                opt = prev
+                    prev = parent_cls[ci]
+                    extra[ci].remove(prev)
+                    holders[prev].remove(ci)
+                    opt = prev
 
-    if any(rem_demand):
-        raise StepInfeasibleError("unmet demand after assignment")
+    if any(t < lo for t, lo in zip(tally, low)):
+        raise StepInfeasibleError("a cell stays below its lower bound after assignment")
 
     choices: dict[int, int | None] = {}
     for ci, cls in enumerate(net.classes):
@@ -356,14 +336,14 @@ def advance(state: RealizationState) -> RealizationState:
         g = new_groups[gi]
         blocks = list(g.blocks)
         blocks[pos] = blocks[pos] + (elem,)  # elem exceeds everything placed so far
-        new_groups[gi] = Group(tuple(blocks), g.targets, g.tag)
+        new_groups[gi] = Group(tuple(blocks), g.targets)
     return RealizationState(state.n, state.tau + 1, tuple(new_groups))
 
 
 @dataclass(frozen=True)
 class Spread:
     blocks: tuple[Block, ...]
-    tag: str
+    tag: str  # "requested", or "fill" for a padding singleton
 
 
 @dataclass(frozen=True)
@@ -381,8 +361,10 @@ def realize(
 
     Each requested shape becomes one spread whose block sizes match the shape
     exactly, and no block (as a set) occurs twice anywhere in the system.
-    Pass include_fill=True to also return the padding spreads that complete
-    the powerset. Identical inputs produce identical systems.
+    Pass include_fill=True to also return one singleton padding spread for
+    every subset no requested block uses, by size and then lexicographically,
+    so that the blocks form the powerset. Identical inputs produce identical
+    systems.
     """
     n = t.n
     if n > max_n:
@@ -393,10 +375,14 @@ def realize(
         state = advance(state)
     spreads = []
     for g in state.groups:
-        if g.tag != REQUESTED and not include_fill:
-            continue
         for blk, m in zip(g.blocks, g.targets):
             if len(blk) != m:
                 raise StepInfeasibleError("internal: a block missed its target size")
-        spreads.append(Spread(g.blocks, g.tag))
+        spreads.append(Spread(g.blocks, "requested"))
+    if include_fill:
+        used = {blk for sp in spreads for blk in sp.blocks}
+        for size in range(n + 1):
+            for blk in combinations(range(1, n + 1), size):
+                if blk not in used:
+                    spreads.append(Spread((blk,), "fill"))
     return SpreadSystem(n, tuple(spreads))

@@ -7,6 +7,7 @@ Exit codes: 0 success / property holds, 1 property violated, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .arrays import generate_la, verify_ca2, verify_da11, verify_la
@@ -127,6 +128,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache  # one parser per process: main may be called many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locarray",

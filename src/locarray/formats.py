@@ -78,10 +78,10 @@ def parse_type(text: str) -> VType:
             shapes.append((Shape(tuple(_int(e) for e in _list(entries))), _int(count)))
         return VType(_int(n), _int(v), shapes)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("N ") or not lines[1].startswith("v "):
+    header = [ln.split() for ln in lines[:2]]
+    if [h[0] for h in header] != ["N", "v"] or any(len(h) != 2 for h in header):
         raise ValueError("type document must start with 'N <int>' and 'v <int>' lines")
-    n = int(lines[0].split()[1])
-    v = int(lines[1].split()[1])
+    n, v = (int(h[1]) for h in header)
     shapes: list[tuple[Shape, int]] = []
     for ln in lines[2:]:
         head, _, tail = ln.partition(" x ")

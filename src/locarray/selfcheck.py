@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import REQUESTED, advance, check_realization, init_realization
+from .baranyai import advance, check_realization, init_realization, realize
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
-from .spread_types import build_optimal_type, build_variant_type, is_admissible, make_full
+from .spread_types import VType, build_optimal_type, build_variant_type, is_admissible, make_full
 
 __all__ = [
     "SUITES",
@@ -19,6 +19,7 @@ __all__ = [
     "oracle_failures",
     "realization_failures",
     "type_failures",
+    "type_realization_failures",
 ]
 
 
@@ -59,36 +60,44 @@ def type_failures(max_n: int = 12) -> list[str]:
     return fails
 
 
+def type_realization_failures(t: VType) -> list[str]:
+    """Realize one admissible type, checking each step and the result.
+
+    The counting invariant must hold after every step; the requested blocks
+    must be pairwise distinct and their spreads must have the type's shapes;
+    with the padding spreads added, the blocks must be the powerset, once each.
+    """
+    n, v = t.n, t.v
+    state = init_realization(make_full(t))
+    for _ in range(n):
+        state = advance(state)
+        chk = check_realization(state)
+        if not chk:
+            return [
+                f"count invariant broken at n={n}, v={v}, tau={state.tau}: {chk.block} "
+                f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
+            ]
+    fails = []
+    blocks = [b for g in state.groups for b in g.blocks]
+    if len(set(blocks)) != len(blocks):
+        fails.append(f"block distinctness broken at n={n}, v={v}")
+    got = Counter(tuple(sorted(len(b) for b in g.blocks)) for g in state.groups)
+    if got != Counter({shape.entries: count for shape, count in t.items()}):
+        fails.append(f"type fidelity broken at n={n}, v={v}")
+    padded = [b for sp in realize(t, include_fill=True).spreads for b in sp.blocks]
+    ground = set(range(1, n + 1))
+    subsets = {b for b in padded if sorted(set(b) & ground) == list(b)}
+    if len(subsets) != len(padded) or len(padded) != 1 << n:
+        fails.append(f"padded system is not the powerset at n={n}, v={v}")
+    return fails
+
+
 def realization_failures(max_n: int = 6) -> list[str]:
     """Realize every optimal type up to the cap, checking each step and the result."""
     fails = []
     for n in range(2, max_n + 1):
         for v in range(2, n + 2):
-            t = build_optimal_type(n, v)
-            state = init_realization(make_full(t))
-            for _ in range(n):
-                state = advance(state)
-                chk = check_realization(state)
-                if not chk:
-                    fails.append(
-                        f"count invariant broken at n={n}, v={v}, tau={state.tau}: "
-                        f"{chk.block} target {chk.target}: {chk.observed} != {chk.expected}"
-                    )
-                    break
-            else:
-                blocks = [b for g in state.groups for b in g.blocks]
-                if len(set(blocks)) != len(blocks) or len(blocks) != 1 << n:
-                    fails.append(f"block distinctness broken at n={n}, v={v}")
-                got = Counter(
-                    tuple(sorted(len(b) for b in g.blocks))
-                    for g in state.groups
-                    if g.tag == REQUESTED
-                )
-                want = Counter()
-                for shape, count in t.items():
-                    want[shape.entries] += count
-                if got != want:
-                    fails.append(f"type fidelity broken at n={n}, v={v}")
+            fails += type_realization_failures(build_optimal_type(n, v))
     return fails
 
 

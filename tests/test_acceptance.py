@@ -7,7 +7,6 @@ pytest -s); stated time budgets are asserted alongside the exactness checks.
 import itertools
 import random
 import time
-from collections import Counter
 
 from locarray import (
     ALL_VARIANTS,
@@ -18,14 +17,12 @@ from locarray import (
     generate_la,
     is_admissible,
     max_columns,
-    max_k_exhaustive,
     realize,
     verify_by_definition,
     verify_la,
 )
-from locarray.baranyai import REQUESTED, advance, check_realization, init_realization
 from locarray.combinatorics import asymptotic_rows, inequality_failures
-from locarray.spread_types import make_full
+from locarray.selfcheck import formula_failures, oracle_failures, type_realization_failures
 from conftest import random_admissible_type
 
 
@@ -35,24 +32,14 @@ def _report(name):
 
 def test_exact_formula_checks():
     start = time.time()
-    for n in range(2, 31):
-        assert max_columns(n, 2) == 2 ** (n - 1)
-    for n in range(3, 31):
-        assert max_columns(n, n) == 1
-        assert max_columns(n, n + 1) == 1
+    assert formula_failures(30) == []
     assert time.time() - start < 1.0
     _report("exact formula checks (v=2 powers, v=n and v=n+1 singletons)")
 
 
 def test_oracle_agreement():
     start = time.time()
-    for n in range(1, 6):
-        for variant in ALL_VARIANTS:
-            top = n if variant.d_barred else n + 1
-            for v in range(2, top + 1):
-                got, _ = max_k_exhaustive(n, v, variant)
-                want = max_columns(n, v, variant)
-                assert got == want, (n, v, variant.label, got, want)
+    assert oracle_failures(5) == []
     assert time.time() - start < 300.0
     _report("exhaustive search agrees with the formula for n <= 5, all variants")
 
@@ -108,23 +95,9 @@ def test_engine_invariants():
     rng = random.Random(20260810)
     for trial in range(100):
         t = random_admissible_type(rng, max_n=10)
-        state = init_realization(make_full(t))
-        for _ in range(t.n):
-            state = advance(state)
-            assert check_realization(state), (trial, t)
-        blocks = [b for g in state.groups for b in g.blocks]
-        assert len(set(blocks)) == len(blocks) == 2 ** t.n, (trial, t)
-        got = Counter(
-            tuple(sorted(len(b) for b in g.blocks))
-            for g in state.groups
-            if g.tag == REQUESTED
-        )
-        want = Counter()
-        for shape, count in t.items():
-            want[shape.entries] += count
-        assert got == want, (trial, t)
+        assert type_realization_failures(t) == [], (trial, t)
     assert time.time() - start < 600.0
-    _report("counting invariant, type fidelity, block distinctness on 100 random types")
+    _report("counting invariant, type fidelity, block distinctness, padded powerset on 100 random types")
 
 
 def test_inequality_suite():

@@ -6,8 +6,6 @@ import pytest
 
 from locarray import CapExceededError, Shape, VType, build_optimal_type, realize
 from locarray.baranyai import (
-    FILL,
-    REQUESTED,
     Group,
     RealizationState,
     advance,
@@ -16,7 +14,8 @@ from locarray.baranyai import (
     init_realization,
     integral_step_assignment,
 )
-from locarray.spread_types import InadmissibleTypeError, make_full
+from locarray.combinatorics import binomial
+from locarray.spread_types import FullType, InadmissibleTypeError, make_full
 from conftest import random_admissible_type
 
 
@@ -26,39 +25,47 @@ def pair_type(n=2):
 
 class TestInitRealization:
     def test_small_full_type(self):
-        state = init_realization(make_full(pair_type()))
+        full = make_full(pair_type())
+        state = init_realization(full)
         assert state.tau == 0
-        assert len(state.groups) == 3
-        assert all(blk == () for g in state.groups for blk in g.blocks)
-        assert [g.tag for g in state.groups] == [REQUESTED, FILL, FILL]
+        assert state.groups == (Group(((), ()), (1, 1)),)
         assert check_realization(state)
+        # the slack below each bound is the padding make_full computed
+        for x in range(state.n + 1):
+            used = sum(g.targets.count(x) for g in state.groups)
+            assert binomial(state.n, x) - used == full.fill.get(Shape((x,)), 0)
 
     def test_non_full_input_rejected(self):
         with pytest.raises(ValueError):
-            init_realization(pair_type())
+            init_realization(FullType(2, pair_type(), {}))
 
     def test_slot_conservation(self):
         rng = random.Random(5)
         for _ in range(20):
             t = random_admissible_type(rng, max_n=8)
-            state = init_realization(make_full(t))
-            assert sum(sum(g.targets) for g in state.groups) == t.n * 2 ** (t.n - 1)
+            full = make_full(t)
+            state = init_realization(full)
+            assert len(state.groups) == t.size()
+            slots = sum(sum(g.targets) for g in state.groups)
+            padding = sum(count * shape.total for shape, count in full.fill.items())
+            assert slots + padding == t.n * 2 ** (t.n - 1)
             assert check_realization(state)
 
 
 class TestAdvance:
     def test_small_deterministic_step(self):
         state = advance(init_realization(make_full(pair_type())))
-        # demands force: one of the two unit blocks and the fill pair get element 1
+        # the bounds force exactly one of the two unit blocks to take element 1,
+        # and the group may not skip: it has two open slots for two elements
         assert state.tau == 1
-        assert state.groups[0].blocks == ((1,), ())
-        assert state.groups[1].blocks == ((),)
-        assert state.groups[2].blocks == ((1,),)
+        assert state.groups == (Group(((1,), ()), (1, 1)),)
 
     def test_small_step_is_among_valid_outcomes(self):
-        state = init_realization(make_full(pair_type()))
-        ours = step_choice_vector(state)
-        assert ours in brute_force_choices(state)
+        state = init_realization(make_full(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2})))
+        for _ in range(state.n):
+            ours = step_choice_vector(state)
+            assert ours in brute_force_choices(state)
+            state = advance(state)
 
     def test_assignment_stays_within_one_of_the_fractional_flow(self):
         # each aggregated arc carries floor or ceil of its fractional value,
@@ -103,10 +110,20 @@ class TestCheckRealization:
         blocks = list(g.blocks)
         blocks[0] = (2,) if blocks[0] != (2,) else (3,)
         groups = list(state.groups)
-        groups[0] = Group(tuple(blocks), g.targets, g.tag)
+        groups[0] = Group(tuple(blocks), g.targets)
         verdict = check_realization(RealizationState(state.n, state.tau, tuple(groups)))
         assert not verdict
-        assert verdict.observed != verdict.expected
+        assert verdict.block == blocks[0]
+        assert verdict.observed > verdict.expected == 0
+        # over-counts: a repeated group, and at tau = 0 two (0, 4) shapes on 4 points
+        doubled = RealizationState(state.n, state.tau, state.groups * 2)
+        verdict = check_realization(doubled)
+        assert not verdict
+        assert verdict.observed == verdict.expected + 1 == 2
+        empty = Group(((), ()), (0, 4))
+        verdict = check_realization(RealizationState(4, 0, (empty, empty)))
+        assert not verdict
+        assert (verdict.block, verdict.observed, verdict.expected) == ((), 2, 1)
 
     def test_final_state_counts(self):
         t = build_optimal_type(4, 2)
@@ -122,13 +139,19 @@ class TestCheckRealization:
 class TestStepAssignmentAgainstBruteForce:
     def test_small_networks(self):
         cases = [
-            make_full(pair_type()),
-            make_full(VType(3, 2, {Shape((1, 2)): 2})),
-            make_full(build_optimal_type(3, 2)),
+            pair_type(),
+            VType(3, 2, {Shape((1, 2)): 2}),
+            build_optimal_type(3, 2),
+            VType(4, 3, {Shape((1, 1, 2)): 2, Shape((0, 2, 2)): 1}),
         ]
-        for full in cases:
-            state = init_realization(full)
-            for _ in range(full.n):
+        rng = random.Random(19)
+        while len(cases) < 12:
+            t = random_admissible_type(rng, max_n=5)
+            if t.size() <= 6:
+                cases.append(t)
+        for t in cases:
+            state = init_realization(make_full(t))
+            for _ in range(t.n):
                 valid = brute_force_choices(state)
                 ours = step_choice_vector(state)
                 assert ours in valid
@@ -206,6 +229,38 @@ class TestRealize:
         system = realize(full, include_fill=True)
         assert len(system.spreads) == 3
 
+    def test_fill_order(self):
+        # requested spreads first, then each unused subset once, by size then lexicographically
+        system = realize(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2}), include_fill=True)
+        assert [(sp.tag, sp.blocks) for sp in system.spreads] == [
+            ("requested", ((1,), (2, 3, 4))),
+            ("requested", ((1, 3), (2, 4))),
+            ("requested", ((1, 4), (2, 3))),
+            ("fill", ((),)),
+            ("fill", ((2,),)),
+            ("fill", ((3,),)),
+            ("fill", ((4,),)),
+            ("fill", ((1, 2),)),
+            ("fill", ((3, 4),)),
+            ("fill", ((1, 2, 3),)),
+            ("fill", ((1, 2, 4),)),
+            ("fill", ((1, 3, 4),)),
+            ("fill", ((1, 2, 3, 4),)),
+        ]
+        rng = random.Random(23)
+        for _ in range(10):
+            t = random_admissible_type(rng, max_n=8)
+            spreads = realize(t, include_fill=True).spreads
+            assert spreads[: t.size()] == realize(t).spreads
+            fill = [sp.blocks for sp in spreads[t.size():]]
+            used = {b for sp in spreads[: t.size()] for b in sp.blocks}
+            unused = [
+                b for x in range(t.n + 1) for b in itertools.combinations(range(1, t.n + 1), x)
+                if b not in used
+            ]
+            assert fill == [(b,) for b in unused]
+            assert all(sp.tag == "fill" for sp in spreads[t.size():])
+
 
 # -- helpers ---------------------------------------------------------------
 
@@ -231,25 +286,36 @@ def class_option_counts(state, net, choice):
 
 
 def brute_force_choices(state):
-    """All per-group choice vectors meeting every cell demand and the skip count."""
-    net = build_step_network(state)
-    demands = {(c.block, c.target): c.demand for c in net.cells}
+    """All per-group choice vectors that keep the invariant and every group completable.
+
+    A cell of c blocks that still need `need` elements must pass the element
+    to between c - C(den - 1, need) and C(den - 1, need - 1) of them, and no
+    group may be left with more open slots than elements remain.
+    """
+    den = state.n - state.tau
+    cells = Counter()
     options_per_group = []
     for g in state.groups:
         opts = [None]
         for pos, (blk, m) in enumerate(zip(g.blocks, g.targets)):
             if m > len(blk):
                 opts.append(pos)
+                cells[(blk, m)] += 1
         options_per_group.append(opts)
+    bounds = {
+        (blk, m): (c - binomial(den - 1, m - len(blk)), binomial(den - 1, m - len(blk) - 1))
+        for (blk, m), c in cells.items()
+    }
     valid = []
     for combo in itertools.product(*options_per_group):
         tally = Counter()
-        skips = 0
+        completable = True
         for g, pos in zip(state.groups, combo):
+            open_slots = sum(m - len(blk) for blk, m in zip(g.blocks, g.targets))
             if pos is None:
-                skips += 1
+                completable &= open_slots <= den - 1
             else:
                 tally[(g.blocks[pos], g.targets[pos])] += 1
-        if skips == net.chi and all(tally.get(key, 0) == d for key, d in demands.items()):
+        if completable and all(lo <= tally[key] <= hi for key, (lo, hi) in bounds.items()):
             valid.append(combo)
     return valid

@@ -181,6 +181,8 @@ class TestMalformedDocuments:
         ("realize", '{"n": 3, "v": 2, "shapes": [{"count": 1, "entries": "12"}]}'),
         ("realize", '{"n": 3, "v": 2, "shapes": {"count": 1, "entries": [1, 2]}}'),
         ("realize", '{"n": null, "v": 2, "shapes": []}'),
+        ("realize", "N 4 9\nv 2 x\n1 x 2 2\n"),
+        ("realize", "N 4\nv 2 x\n1 x 2 2\n"),
     ]
 
     def test_usage_error_without_traceback(self, tmp_path, capsys):
