@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .combinatorics import binomial
-from .spread_types import FullType, VType, make_full
+from .spread_types import VType, make_full
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -115,27 +115,24 @@ class ClassNode:
 
 @dataclass(frozen=True)
 class StepNetwork:
-    n: int
     tau: int
     den: int  # n - tau, the common denominator of all fractional arc values
     cells: tuple[Cell, ...]
     classes: tuple[ClassNode, ...]
 
 
-def init_realization(full_type: FullType) -> RealizationState:
-    """Start a realization of the requested shapes, with every block empty.
+def init_realization(t: VType) -> RealizationState:
+    """Start a realization of t, one group of empty blocks per shape.
 
-    The input must be full (make_full, or realize, builds it); its fill is
-    left implicit as the slack of the counting invariant.
+    make_full is the admissibility gate; the padding that would complete the
+    powerset stays implicit as the slack of the counting invariant.
     """
-    if not full_type.is_full():
-        raise ValueError("type is not full; pass it through make_full first")
     groups: list[Group] = []
-    for shape, count in full_type.requested.items():
+    for shape, count in make_full(t).items():
         targets = shape.entries
         empty = ((),) * len(targets)
         groups.extend(Group(empty, targets) for _ in range(count))
-    return RealizationState(full_type.n, 0, tuple(groups))
+    return RealizationState(t.n, 0, tuple(groups))
 
 
 def check_realization(state: RealizationState) -> RealizationCheck:
@@ -212,7 +209,7 @@ def build_step_network(state: RealizationState) -> StepNetwork:
         if skip_num < 0:
             raise ValueError("not a realization state: open slots exceed remaining elements")
         classes.append(ClassNode(members, tuple(arcs), skip_num))
-    return StepNetwork(n, tau, den, tuple(cells), tuple(classes))
+    return StepNetwork(tau, den, tuple(cells), tuple(classes))
 
 
 def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
@@ -352,13 +349,11 @@ class SpreadSystem:
     spreads: tuple[Spread, ...]
 
 
-def realize(
-    t: VType | FullType,
-    include_fill: bool = False,
-    max_n: int = DEFAULT_MAX_N,
-) -> SpreadSystem:
+def realize(t: VType, include_fill: bool = False,
+            max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     """Build a disjoint partial spread system of the given admissible type.
 
+    The cap on n is checked first, then admissibility (InadmissibleTypeError).
     Each requested shape becomes one spread whose block sizes match the shape
     exactly, and no block (as a set) occurs twice anywhere in the system.
     Pass include_fill=True to also return one singleton padding spread for
@@ -369,8 +364,7 @@ def realize(
     n = t.n
     if n > max_n:
         raise CapExceededError(f"ground set size {n} exceeds the realization cap ({max_n})")
-    full = t if isinstance(t, FullType) else make_full(t)
-    state = init_realization(full)
+    state = init_realization(t)
     for _ in range(n):
         state = advance(state)
     spreads = []

@@ -34,6 +34,13 @@ def _looks_like_json(text: str) -> bool:
     return text.lstrip().startswith("{")
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # nesting deeper than the interpreter's stack
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def _fields(doc, *keys: str) -> list:
     """The values of the given keys of a JSON object."""
     if not isinstance(doc, dict) or any(key not in doc for key in keys):
@@ -71,7 +78,7 @@ def format_type(t: VType, fmt: str = "text") -> str:
 
 def parse_type(text: str) -> VType:
     if _looks_like_json(text):
-        n, v, items = _fields(json.loads(text), "n", "v", "shapes")
+        n, v, items = _fields(_load_json(text), "n", "v", "shapes")
         shapes = []
         for item in _list(items):
             entries, count = _fields(item, "entries", "count")
@@ -127,7 +134,7 @@ def format_array(arr: TestArray, fmt: str = "text") -> str:
 
 def parse_array(text: str) -> TestArray:
     if _looks_like_json(text):
-        n, k, v, rows = _fields(json.loads(text), "n", "k", "v", "rows")
+        n, k, v, rows = _fields(_load_json(text), "n", "k", "v", "rows")
         n, k = _int(n), _int(k)
         arr = TestArray(tuple(tuple(_int(a) for a in _list(r)) for r in _list(rows)), _int(v))
     else:

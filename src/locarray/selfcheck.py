@@ -11,7 +11,7 @@ from collections import Counter
 from .baranyai import advance, check_realization, init_realization, realize
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
-from .spread_types import VType, build_optimal_type, build_variant_type, is_admissible, make_full
+from .spread_types import VType, build_optimal_type, build_variant_type, is_admissible
 
 __all__ = [
     "SUITES",
@@ -68,7 +68,7 @@ def type_realization_failures(t: VType) -> list[str]:
     with the padding spreads added, the blocks must be the powerset, once each.
     """
     n, v = t.n, t.v
-    state = init_realization(make_full(t))
+    state = init_realization(t)
     for _ in range(n):
         state = advance(state)
         chk = check_realization(state)

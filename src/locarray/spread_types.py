@@ -3,7 +3,7 @@
 A shape records the block sizes of one partial spread; a type is a multiset of
 shapes. A type is admissible when, for every size x, the number of size-x
 slots across all its shapes stays within C(n, x), the number of x-subsets of
-the ground set; it is full when every one of those capacities is met exactly.
+the ground set; exactly then can it be realized.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .combinatorics import Variant, binomial, bound_params
 
 __all__ = [
     "Admissibility",
-    "FullType",
     "InadmissibleTypeError",
     "Shape",
     "VType",
@@ -30,14 +29,14 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class Shape:
-    """A multiset of nonnegative block sizes, stored sorted ascending."""
+    """A nonempty multiset of nonnegative block sizes, stored sorted ascending."""
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
         ent = tuple(sorted(self.entries))
-        if ent and ent[0] < 0:
-            raise ValueError("block sizes must be nonnegative")
+        if not ent or ent[0] < 0:
+            raise ValueError("a shape needs one or more nonnegative block sizes")
         object.__setattr__(self, "entries", ent)
 
     def mu(self, x: int) -> int:
@@ -65,8 +64,8 @@ class Shape:
 class VType:
     """A multiset of shapes over the ground set {1..n}, with symbol count v.
 
-    Shapes may have any number of entries (padding shapes are singletons);
-    is_v_type() reports whether every shape has exactly v of them.
+    Shapes may have any positive number of entries; is_v_type() reports
+    whether every shape has exactly v of them.
     """
 
     __slots__ = ("n", "v", "_shapes")
@@ -259,34 +258,12 @@ def build_variant_type(n: int, v: int, variant: Variant) -> VType:
     return t
 
 
-@dataclass
-class FullType:
-    """An admissible type padded with singleton shapes to meet every capacity.
+def make_full(t: VType) -> VType:
+    """The admissibility gate of realization: t itself, if it is admissible.
 
-    requested holds the caller's shapes untouched; fill maps each singleton
-    padding shape to the number of copies added for its block size.
-    """
-
-    n: int
-    requested: VType
-    fill: dict[Shape, int]
-
-    def sigma(self, x: int) -> int:
-        pad = sum(count * shape.mu(x) for shape, count in self.fill.items())
-        return self.requested.sigma(x) + pad
-
-    def is_full(self) -> bool:
-        return all(self.sigma(x) == binomial(self.n, x) for x in range(self.n + 1))
-
-
-def make_full(t: VType) -> FullType:
-    """Pad an admissible type with singleton shapes until every size is saturated."""
+    Padding t with singletons to C(n, x) slots of every size x would make it
+    full; realization keeps that padding implicit, so nothing is added."""
     verdict = is_admissible(t)
     if not verdict:
         raise InadmissibleTypeError(verdict)
-    fill: dict[Shape, int] = {}
-    for x in range(t.n + 1):
-        gap = binomial(t.n, x) - t.sigma(x)
-        if gap:
-            fill[Shape((x,))] = gap
-    return FullType(t.n, t, fill)
+    return t

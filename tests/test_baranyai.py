@@ -15,7 +15,7 @@ from locarray.baranyai import (
     integral_step_assignment,
 )
 from locarray.combinatorics import binomial
-from locarray.spread_types import FullType, InadmissibleTypeError, make_full
+from locarray.spread_types import InadmissibleTypeError, make_full
 from conftest import random_admissible_type
 
 
@@ -25,43 +25,43 @@ def pair_type(n=2):
 
 class TestInitRealization:
     def test_small_full_type(self):
-        full = make_full(pair_type())
-        state = init_realization(full)
+        state = init_realization(pair_type())
         assert state.tau == 0
         assert state.groups == (Group(((), ()), (1, 1)),)
         assert check_realization(state)
-        # the slack below each bound is the padding make_full computed
+        # the slack below each bound is the padding: the empty set and {1, 2}
+        slack = {}
         for x in range(state.n + 1):
             used = sum(g.targets.count(x) for g in state.groups)
-            assert binomial(state.n, x) - used == full.fill.get(Shape((x,)), 0)
+            slack[x] = binomial(state.n, x) - used
+        assert slack == {0: 1, 1: 0, 2: 1}
 
     def test_non_full_input_rejected(self):
-        with pytest.raises(ValueError):
-            init_realization(FullType(2, pair_type(), {}))
+        with pytest.raises(InadmissibleTypeError):
+            init_realization(VType(4, 2, {Shape((0, 4)): 2}))
 
     def test_slot_conservation(self):
         rng = random.Random(5)
         for _ in range(20):
             t = random_admissible_type(rng, max_n=8)
-            full = make_full(t)
-            state = init_realization(full)
+            state = init_realization(t)
             assert len(state.groups) == t.size()
             slots = sum(sum(g.targets) for g in state.groups)
-            padding = sum(count * shape.total for shape, count in full.fill.items())
+            padding = sum(x * (binomial(t.n, x) - t.sigma(x)) for x in range(t.n + 1))
             assert slots + padding == t.n * 2 ** (t.n - 1)
             assert check_realization(state)
 
 
 class TestAdvance:
     def test_small_deterministic_step(self):
-        state = advance(init_realization(make_full(pair_type())))
+        state = advance(init_realization(pair_type()))
         # the bounds force exactly one of the two unit blocks to take element 1,
         # and the group may not skip: it has two open slots for two elements
         assert state.tau == 1
         assert state.groups == (Group(((1,), ()), (1, 1)),)
 
     def test_small_step_is_among_valid_outcomes(self):
-        state = init_realization(make_full(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2})))
+        state = init_realization(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2}))
         for _ in range(state.n):
             ours = step_choice_vector(state)
             assert ours in brute_force_choices(state)
@@ -70,7 +70,7 @@ class TestAdvance:
     def test_assignment_stays_within_one_of_the_fractional_flow(self):
         # each aggregated arc carries floor or ceil of its fractional value,
         # so integral fractional values are forced exactly
-        state = init_realization(make_full(build_optimal_type(3, 2)))
+        state = init_realization(build_optimal_type(3, 2))
         net = build_step_network(state)
         choice = integral_step_assignment(net)
         counts = class_option_counts(state, net, choice)
@@ -87,14 +87,14 @@ class TestAdvance:
         rng = random.Random(7)
         for _ in range(20):
             t = random_admissible_type(rng, max_n=8)
-            state = init_realization(make_full(t))
+            state = init_realization(t)
             for _ in range(t.n):
                 state = advance(state)
                 assert check_realization(state)
 
     def test_advance_past_the_end_rejected(self):
         t = pair_type()
-        state = init_realization(make_full(t))
+        state = init_realization(t)
         for _ in range(t.n):
             state = advance(state)
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestAdvance:
 
 class TestCheckRealization:
     def test_mutated_block_is_caught(self):
-        state = init_realization(make_full(VType(3, 2, {Shape((1, 2)): 1})))
+        state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
         state = advance(state)
         assert check_realization(state)
         g = state.groups[0]
@@ -127,7 +127,7 @@ class TestCheckRealization:
 
     def test_final_state_counts(self):
         t = build_optimal_type(4, 2)
-        state = init_realization(make_full(t))
+        state = init_realization(t)
         for _ in range(4):
             state = advance(state)
         assert check_realization(state)
@@ -150,7 +150,7 @@ class TestStepAssignmentAgainstBruteForce:
             if t.size() <= 6:
                 cases.append(t)
         for t in cases:
-            state = init_realization(make_full(t))
+            state = init_realization(t)
             for _ in range(t.n):
                 valid = brute_force_choices(state)
                 ours = step_choice_vector(state)

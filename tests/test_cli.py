@@ -183,6 +183,9 @@ class TestMalformedDocuments:
         ("realize", '{"n": null, "v": 2, "shapes": []}'),
         ("realize", "N 4 9\nv 2 x\n1 x 2 2\n"),
         ("realize", "N 4\nv 2 x\n1 x 2 2\n"),
+        ("verify", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        ("realize", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        ("realize", '{"n": 3, "v": 2, "shapes": [{"count": 1, "entries": []}]}'),
     ]
 
     def test_usage_error_without_traceback(self, tmp_path, capsys):
@@ -192,6 +195,41 @@ class TestMalformedDocuments:
             code, _, err = run([command, str(doc)], capsys)
             assert code == 2, (command, text)
             assert err.startswith("error: ") and "Traceback" not in err, (command, text)
+
+
+class TestExitCodes:
+    """The exit-code contract: 0 ok, 1 violation, 2 usage, 3 cap, never a traceback."""
+
+    CASES = [
+        (["bound", "--N", "0", "--v", "3"], 2),
+        (["type", "--N", "0", "--v", "3"], 2),
+        (["generate", "--N", "0", "--v", "3"], 2),
+        (["oracle", "--N", "0", "--v", "3"], 2),
+        (["bound", "--N", "5", "--v", "1"], 2),
+        (["type", "--N", "5", "--v", "1"], 2),
+        (["generate", "--N", "5", "--v", "1"], 2),
+        (["table", "--n-min", "0", "--n-max", "3"], 2),
+        (["table", "--n-min", "5", "--n-max", "3"], 2),
+        (["realize", "N 4\nv 2\n2 x 0 4\n"], 2),  # inadmissible: two empty blocks
+        (["generate", "--N", "17", "--v", "3"], 3),
+        (["realize", "N 17\nv 2\n1 x 8 9\n"], 3),
+        (["oracle", "--N", "6", "--v", "2"], 3),
+        (["verify", "2 2 2\n0 0\n1 1\n"], 1),  # column 2 duplicates column 1
+    ]
+
+    def test_every_subcommand(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        for argv, want in self.CASES:
+            if argv[0] in ("realize", "verify"):
+                doc.write_text(argv[1])
+                argv = [argv[0], str(doc)]
+            code, out, err = run(argv, capsys)
+            assert code == want, argv
+            assert "Traceback" not in out + err, argv
+            if code == 1:  # a verdict, not an error: it goes to stdout
+                assert out.startswith("violated: ") and err == "", argv
+            elif code:
+                assert err.startswith("error: "), argv
 
 
 class TestOracle:

@@ -1,0 +1,106 @@
+"""Property tests of the document formats: round trips and fuzzed input."""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")  # an optional test dependency (pyproject.toml)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locarray import Shape, TestArray, VType
+from locarray.formats import format_array, format_type, parse_array, parse_type
+
+FORMATS = st.sampled_from(["text", "json"])
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def arrays(draw):
+    v = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    row = st.tuples(*[st.integers(0, v - 1)] * k)
+    return TestArray(tuple(draw(st.lists(row, min_size=n, max_size=n))), v)
+
+
+@st.composite
+def shapes(draw, n):
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        entries.append(draw(st.integers(0, n - sum(entries))))
+    return Shape(tuple(entries))
+
+
+@st.composite
+def types(draw):
+    n = draw(st.integers(1, 12))
+    v = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(shapes(n), st.integers(1, 1000)), max_size=6))
+    return VType(n, v, pairs)
+
+
+@st.composite
+def mutated(draw, doc):
+    """A valid document with one character replaced, inserted or deleted."""
+    text = draw(doc)
+    i = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from(list(" \n-0129x{}[],:\"Nv") + ["", "9" * 30]))
+    return text[:i] + ch + text[i + draw(st.integers(0, 1)):]
+
+
+JSON_VALUES = st.recursive(
+    st.integers(0, 4) | st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.fixed_dictionaries({"count": inner, "entries": inner}),
+    max_leaves=8,
+)
+
+
+def documents(*keys: str) -> st.SearchStrategy:
+    """JSON objects with the given keys and any values; the last key often holds a list."""
+    values = {key: JSON_VALUES for key in keys}
+    values[keys[-1]] = JSON_VALUES | st.lists(JSON_VALUES, max_size=3)
+    return st.fixed_dictionaries(values).map(json.dumps)
+
+
+GARBAGE = (
+    st.text()
+    | documents("n", "v", "shapes")
+    | documents("n", "k", "v", "rows")
+    | mutated(st.tuples(arrays(), FORMATS).map(lambda p: format_array(*p)))
+    | mutated(st.tuples(types(), FORMATS).map(lambda p: format_type(*p)))
+)
+
+
+class TestRoundTrip:
+    @PROPERTY
+    @given(arrays(), FORMATS)
+    def test_array(self, arr, fmt):
+        assert parse_array(format_array(arr, fmt)) == arr
+
+    @PROPERTY
+    @given(types(), FORMATS)
+    def test_type(self, t, fmt):
+        assert parse_type(format_type(t, fmt)) == t
+
+
+class TestFuzz:
+    """On any text, a parser returns a document or raises ValueError, nothing else."""
+
+    @PROPERTY
+    @given(GARBAGE)
+    def test_parse_array(self, text):
+        try:
+            parse_array(text)
+        except ValueError:
+            pass
+
+    @PROPERTY
+    @given(GARBAGE)
+    def test_parse_type(self, text):
+        try:
+            parse_type(text)
+        except ValueError:
+            pass

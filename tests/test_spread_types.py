@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from locarray import (
     build_variant_type,
     is_admissible,
     max_columns,
+    realize,
 )
 from locarray.combinatorics import binomial, bound_params
 from locarray.spread_types import InadmissibleTypeError, balanced_shape, make_full, offset_shape
@@ -27,6 +29,11 @@ class TestShape:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             Shape((1, -1))
+
+    def test_empty_shape_rejected(self):
+        # a spread with no blocks is no column of any array
+        with pytest.raises(ValueError):
+            Shape(())
 
     def test_mu(self):
         s = Shape((2, 2, 0))
@@ -259,31 +266,40 @@ class TestVariantType:
                 )
 
 
+def fill_blocks(t):
+    """The padding blocks realize appends to t, in order."""
+    system = realize(t, include_fill=True)
+    return [blk for sp in system.spreads if sp.tag == "fill" for blk in sp.blocks]
+
+
+def slack(t):
+    """Size -> C(n, x) - sigma(x), for every size below its capacity."""
+    gaps = {x: binomial(t.n, x) - t.sigma(x) for x in range(t.n + 1)}
+    return {x: gap for x, gap in gaps.items() if gap}
+
+
 class TestMakeFull:
     def test_small_hand_case(self):
-        ft = make_full(VType(2, 2, {Shape((1, 1)): 1}))
-        assert ft.fill == {Shape((0,)): 1, Shape((2,)): 1}
-        assert ft.is_full()
+        assert fill_blocks(VType(2, 2, {Shape((1, 1)): 1})) == [(), (1, 2)]
 
     def test_tight_size_gets_no_fill(self):
-        ft = make_full(build_optimal_type(6, 3))
-        assert Shape((2,)) not in ft.fill
-        assert Shape((1,)) not in ft.fill
-        assert ft.is_full()
+        t = build_optimal_type(6, 3)
+        sizes = Counter(len(blk) for blk in fill_blocks(t))
+        assert 1 not in sizes and 2 not in sizes
+        assert sizes == slack(t)
 
     def test_full_input_unchanged(self):
         t = build_optimal_type(3, 2)  # already full: C(3,i) copies of each level
-        ft = make_full(t)
-        assert ft.fill == {}
-        assert ft.requested == t
+        assert fill_blocks(t) == []
+        assert make_full(t) is t
 
     def test_requested_part_is_the_input(self):
         rng = random.Random(99)
         for _ in range(20):
             t = random_admissible_type(rng, max_n=8)
-            ft = make_full(t)
-            assert ft.requested == t
-            assert ft.is_full()
+            assert make_full(t) is t
+            # the padding meets every capacity exactly
+            assert Counter(len(blk) for blk in fill_blocks(t)) == slack(t)
 
     def test_inadmissible_input_rejected(self):
         with pytest.raises(InadmissibleTypeError):
