@@ -40,15 +40,28 @@ def binomial(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Variant:
-    """Which array flavour is meant.
+    """Which array flavour is meant, and the rule that follows from it.
 
     d_barred: at most one faulty (column, symbol) cell instead of exactly one.
     t_barred: interactions of strength at most 1 (so the empty interaction,
     which every row covers, takes part) instead of exactly 1.
+    Everything the variants do differently follows from max_symbols,
+    drops_zero_shape and, for d-barred arrays, BoundParams.dbar_recovers.
     """
 
     d_barred: bool
     t_barred: bool
+
+    def max_symbols(self, n: int) -> int:
+        """Largest v the variant admits on n rows (above it no array has a
+        column): d-barred classes are nonempty, otherwise one may be empty."""
+        return n if self.d_barred else n + 1
+
+    def drops_zero_shape(self, v: int) -> bool:
+        """Whether the balanced shape with an empty class is lost: d-barred arrays
+        forbid the empty class, and at v = 2 its other class is the full row
+        set, which t-barred arrays forbid."""
+        return self.d_barred or (self.t_barred and v == 2)
 
     @property
     def label(self) -> str:
@@ -117,24 +130,19 @@ def bound_params(n: int, v: int) -> BoundParams:
 def max_columns(n: int, v: int, variant: Variant = VARIANT_11) -> int:
     """Largest k for which an n x k array of the given variant exists.
 
-    Exact for every n >= 1 and v >= 2; returns 0 when no array with a positive
-    number of columns exists (v too large relative to n for the variant).
+    Exact for every n >= 1 and v >= 2; returns 0 when v exceeds
+    variant.max_symbols(n). Otherwise it is the base optimum, one less when
+    the variant drops the zero shape, and one more again when a d-barred
+    array recovers it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if v < 2:
         raise ValueError(f"need v >= 2, got {v}")
-    if variant.d_barred:
-        # every class must be nonempty, so v distinct classes need v <= n
-        if v > n:
-            return 0
-        p = bound_params(n, v)
-        return p.columns if p.dbar_recovers else p.columns - 1
-    if variant.t_barred and v == 2:
-        return (1 << (n - 1)) - 1
-    if v > n + 1:
+    if v > variant.max_symbols(n):
         return 0
-    return bound_params(n, v).columns
+    p = bound_params(n, v)
+    return p.columns - variant.drops_zero_shape(v) + (variant.d_barred and p.dbar_recovers)
 
 
 @dataclass(frozen=True)

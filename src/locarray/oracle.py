@@ -82,6 +82,8 @@ def max_k_exhaustive(
     """
     if n > max_n:
         raise CapExceededError(f"ground set size {n} exceeds the search cap ({max_n})")
+    if v < 2:
+        raise ValueError(f"need v >= 2, got {v}")
     full = frozenset(range(1, n + 1))
     candidates: list[Partition] = []
     for part in enumerate_partitions(n, v, allow_empty=not variant.d_barred, max_n=max_n):

@@ -38,25 +38,19 @@ def formula_failures(max_n: int = 30) -> list[str]:
 
 
 def type_failures(max_n: int = 12) -> list[str]:
-    """Optimal and variant types: right size, admissible, no zeros when barred."""
+    """Variant types: right size, admissible, no zeros when d-barred."""
     fails = []
     for n in range(2, max_n + 1):
-        for v in range(2, n + 2):
-            t = build_optimal_type(n, v)
-            if t.size() != max_columns(n, v):
-                fails.append(f"optimal type size off at n={n}, v={v}")
-            if not is_admissible(t):
-                fails.append(f"optimal type inadmissible at n={n}, v={v}")
-            for variant in ALL_VARIANTS[1:]:
-                if variant.d_barred and v > n:
-                    continue
-                vt = build_variant_type(n, v, variant)
-                if vt.size() != max_columns(n, v, variant):
-                    fails.append(f"variant type size off at n={n}, v={v}, {variant.label}")
-                if not is_admissible(vt):
-                    fails.append(f"variant type inadmissible at n={n}, v={v}, {variant.label}")
-                if variant.d_barred and any(s.entries[0] == 0 for s, _ in vt.items()):
-                    fails.append(f"zero entry in barred type at n={n}, v={v}, {variant.label}")
+        for variant in ALL_VARIANTS:
+            for v in range(2, variant.max_symbols(n) + 1):
+                t = build_variant_type(n, v, variant)
+                where = f"n={n}, v={v}, {variant.label}"
+                if t.size() != max_columns(n, v, variant):
+                    fails.append(f"type size off at {where}")
+                if not is_admissible(t):
+                    fails.append(f"type inadmissible at {where}")
+                if variant.d_barred and any(s.entries[0] == 0 for s, _ in t.items()):
+                    fails.append(f"zero entry in barred type at {where}")
     return fails
 
 
@@ -106,8 +100,7 @@ def oracle_failures(max_n: int = 4) -> list[str]:
     fails = []
     for n in range(1, max_n + 1):
         for variant in ALL_VARIANTS:
-            top = n if variant.d_barred else n + 1
-            for v in range(2, top + 1):
+            for v in range(2, variant.max_symbols(n) + 1):
                 got, _ = max_k_exhaustive(n, v, variant, max_n=max_n)
                 want = max_columns(n, v, variant)
                 if got != want:

@@ -8,10 +8,11 @@ the ground set; exactly then can it be realized.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .combinatorics import Variant, binomial, bound_params
+from .combinatorics import VARIANT_11, Variant, binomial, bound_params
 
 __all__ = [
     "Admissibility",
@@ -110,19 +111,6 @@ class VType:
     def is_v_type(self) -> bool:
         return all(len(shape) == self.v for shape in self._shapes)
 
-    def with_shape(self, shape: Shape, count: int = 1) -> "VType":
-        items = list(self._shapes.items()) + [(shape, count)]
-        return VType(self.n, self.v, items)
-
-    def without_shape(self, shape: Shape, count: int = 1) -> "VType":
-        have = self._shapes.get(shape, 0)
-        if have < count:
-            raise ValueError(f"cannot remove {count} x {shape}: only {have} present")
-        items = {s: c for s, c in self._shapes.items() if s != shape}
-        if have > count:
-            items[shape] = have - count
-        return VType(self.n, self.v, items)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VType):
             return NotImplemented
@@ -199,63 +187,51 @@ def offset_shape(n: int, v: int) -> Shape:
 
 
 def build_optimal_type(n: int, v: int) -> VType:
-    """The admissible v-type of maximum size, one shape per future column.
+    """The admissible v-type of maximum size: build_variant_type(n, v, VARIANT_11)."""
+    return build_variant_type(n, v, VARIANT_11)
+
+
+def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
+    """The admissible v-type of maximum size for the variant, in one O(f) pass.
 
     Bottom-up: C(n, i) copies of the balanced shape with minimum i for every
-    small i, then the top level filled to the remaining size-f capacity; when
-    n = v - 1 (mod v) the top level instead trades pairs of balanced shapes
-    for offset shapes so the capacity works out.
+    i < f, walking C(n, i) by its ratio, then the top level filled to the
+    remaining size-f capacity; when n = v - 1 (mod v) the top level instead
+    trades pairs of balanced shapes for offset shapes so the capacity works
+    out. If variant.drops_zero_shape(v) the balanced shape with minimum 0
+    goes, and a d-barred type whose dbar_recovers holds makes up for it with
+    one top-level swap. Raises ValueError unless 2 <= v <= max_symbols(n).
     """
-    if not 2 <= v <= n + 1:
-        raise ValueError(f"need 2 <= v <= n + 1; got v={v}, n={n}")
+    top = variant.max_symbols(n)
+    if not 2 <= v <= top:
+        raise ValueError(f"need 2 <= v <= {top} for variant {variant.label}; got v={v}, n={n}")
     p = bound_params(n, v)
-    shapes: dict[Shape, int] = {}
-
-    def add(shape: Shape, count: int) -> None:
-        if count < 0:
-            raise RuntimeError(f"internal: negative count for {shape} at n={n}, v={v}")
-        if count:
-            shapes[shape] = shapes.get(shape, 0) + count
-
-    for i in range(0, p.f - 1):
-        add(balanced_shape(n, v, i), binomial(n, i))
-    if n % v != v - 1:
-        add(balanced_shape(n, v, p.f - 1), binomial(n, p.f - 1))
-        add(balanced_shape(n, v, p.f), (binomial(n, p.f) - p.s) // p.d)
+    f = p.f
+    residue = n % v == v - 1
+    shapes: Counter[Shape] = Counter()
+    c = 1  # C(n, i), advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
+    for i in range(f):
+        shapes[balanced_shape(n, v, i)] += c
+        c = c * (n - i) // (i + 1)
+    if not residue:
+        shapes[balanced_shape(n, v, f)] += (c - p.s) // p.d
     else:
         offs = -(-p.s_prime // (v + 1))  # ceil
-        add(balanced_shape(n, v, p.f - 1), binomial(n, p.f - 1) - 2 * offs)
+        shapes[balanced_shape(n, v, f - 1)] -= 2 * offs
         if offs:
-            add(offset_shape(n, v), offs)
-    return VType(n, v, shapes)
-
-
-def build_variant_type(n: int, v: int, variant: Variant) -> VType:
-    """Optimal admissible v-type for the given variant.
-
-    For d-barred variants no shape in the result contains a zero entry (every
-    class of the derived array must be nonempty); its size drops below the
-    base optimum except in the residue window where a top-level swap recovers
-    the lost shape.
-    """
-    if variant.d_barred:
-        if not 2 <= v <= n:
-            raise ValueError(f"need 2 <= v <= n for this variant; got v={v}, n={n}")
-        p = bound_params(n, v)
-        t = build_optimal_type(n, v).without_shape(balanced_shape(n, v, 0))
-        if p.dbar_recovers:
-            if n % v != v - 1:
-                t = t.with_shape(balanced_shape(n, v, p.f))
-            else:
-                t = t.without_shape(offset_shape(n, v))
-                t = t.with_shape(balanced_shape(n, v, p.f - 1), 2)
-        return t
-    if not 2 <= v <= n + 1:
-        raise ValueError(f"need 2 <= v <= n + 1; got v={v}, n={n}")
-    t = build_optimal_type(n, v)
-    if variant.t_barred and v == 2:
-        t = t.without_shape(Shape((0, n)))
-    return t
+            shapes[offset_shape(n, v)] += offs
+    if variant.drops_zero_shape(v):
+        shapes[balanced_shape(n, v, 0)] -= 1
+    if variant.d_barred and p.dbar_recovers:
+        if not residue:
+            shapes[balanced_shape(n, v, f)] += 1
+        else:
+            shapes[offset_shape(n, v)] -= 1
+            shapes[balanced_shape(n, v, f - 1)] += 2
+    for shape, count in shapes.items():
+        if count < 0:
+            raise RuntimeError(f"internal: negative count for {shape} at n={n}, v={v}")
+    return VType(n, v, {shape: count for shape, count in shapes.items() if count})
 
 
 def make_full(t: VType) -> VType:

@@ -208,6 +208,7 @@ class TestExitCodes:
         (["bound", "--N", "5", "--v", "1"], 2),
         (["type", "--N", "5", "--v", "1"], 2),
         (["generate", "--N", "5", "--v", "1"], 2),
+        (["oracle", "--N", "3", "--v", "1"], 2),
         (["table", "--n-min", "0", "--n-max", "3"], 2),
         (["table", "--n-min", "5", "--n-max", "3"], 2),
         (["realize", "N 4\nv 2\n2 x 0 4\n"], 2),  # inadmissible: two empty blocks

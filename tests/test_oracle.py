@@ -108,6 +108,10 @@ class TestMaxKExhaustive:
         with pytest.raises(CapExceededError):
             max_k_exhaustive(6, 2)
 
+    def test_needs_two_symbols(self):
+        with pytest.raises(ValueError):
+            max_k_exhaustive(3, 1)
+
 
 class TestVerifyByDefinition:
     def test_agrees_on_the_canonical_array(self):

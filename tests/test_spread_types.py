@@ -5,6 +5,7 @@ import pytest
 
 from locarray import (
     ALL_VARIANTS,
+    VARIANT_11,
     VARIANT_1_BAR1,
     VARIANT_BAR1_1,
     VARIANT_BAR1_BAR1,
@@ -73,12 +74,6 @@ class TestVType:
         assert VType(6, 3, {Shape((1, 2, 3)): 1}).is_v_type()
         assert not VType(6, 3, {Shape((6,)): 1}).is_v_type()
 
-    def test_without_shape(self):
-        t = VType(6, 3, {Shape((1, 2, 3)): 2})
-        assert t.without_shape(Shape((1, 2, 3))).size() == 1
-        with pytest.raises(ValueError):
-            t.without_shape(Shape((2, 2, 2)))
-
 
 class TestAdmissibility:
     def test_optimal_type_admissible(self):
@@ -91,7 +86,7 @@ class TestAdmissibility:
 
     def test_tight_size_overflows(self):
         # the size-2 capacity of the optimal type at n=6, v=3 is already met
-        t = build_optimal_type(6, 3).with_shape(Shape((2, 2, 2)))
+        t = VType(6, 3, list(build_optimal_type(6, 3).items()) + [(Shape((2, 2, 2)), 1)])
         verdict = is_admissible(t)
         assert not verdict
         assert verdict.size == 2 and verdict.used == 18 and verdict.capacity == 15
@@ -257,6 +252,28 @@ class TestVariantType:
                 if variant.d_barred and v > n:
                     continue
                 assert build_variant_type(n, v, variant).size() == max_columns(n, v, variant)
+
+    def test_symbol_range(self):
+        for n in range(1, 61):
+            for variant in ALL_VARIANTS:
+                top = n if variant.d_barred else n + 1
+                for v in range(0, n + 4):
+                    if v < 2:
+                        with pytest.raises(ValueError):
+                            build_variant_type(n, v, variant)
+                        with pytest.raises(ValueError):
+                            max_columns(n, v, variant)
+                    elif v > top:
+                        with pytest.raises(ValueError):
+                            build_variant_type(n, v, variant)
+                        assert max_columns(n, v, variant) == 0
+                    else:
+                        t = build_variant_type(n, v, variant)
+                        assert t.size() == max_columns(n, v, variant)
+
+    def test_large_n(self):
+        for variant in (VARIANT_11, VARIANT_BAR1_1):
+            assert build_variant_type(20000, 3, variant).size() == max_columns(20000, 3, variant)
 
     def test_both_barred_equals_d_barred(self):
         for n in range(2, 10):
