@@ -16,9 +16,7 @@ from .spread_types import build_variant_type
 __all__ = [
     "TestArray",
     "Verdict",
-    "array_to_partitions",
     "generate_la",
-    "rho",
     "spreads_to_array",
     "verify_ca2",
     "verify_da11",
@@ -79,32 +77,6 @@ def _class_masks(arr: TestArray) -> list[list[int]]:
         for classes, s in zip(masks, row):
             classes[s] |= bit
     return masks
-
-
-def _row_set(mask: int) -> frozenset[int]:
-    return frozenset(r + 1 for r in range(mask.bit_length()) if mask >> r & 1)
-
-
-def rho(arr: TestArray, interaction) -> frozenset[int]:
-    """Rows covering the interaction; all rows for the empty interaction."""
-    pairs = sorted(interaction)
-    if len({c for c, _ in pairs}) != len(pairs):
-        raise ValueError("interaction repeats a column")
-    for c, s in pairs:
-        if not 1 <= c <= arr.k:
-            raise ValueError(f"column {c} out of range 1..{arr.k}")
-        if not 0 <= s < arr.v:
-            raise ValueError(f"symbol {s} out of range 0..{arr.v - 1}")
-    masks = _class_masks(arr)
-    covered = (1 << arr.n_rows) - 1
-    for c, s in pairs:
-        covered &= masks[c - 1][s]
-    return _row_set(covered)
-
-
-def array_to_partitions(arr: TestArray) -> list[list[frozenset[int]]]:
-    """Per column, the v row classes (class s holds the rows showing symbol s)."""
-    return [[_row_set(m) for m in classes] for classes in _class_masks(arr)]
 
 
 def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:

@@ -1,7 +1,6 @@
-"""Exact counting: binomials, optimal column counts, and asymptotic estimates.
+"""Exact counting: binomials, optimal column counts, and the binomial inequalities.
 
-Everything here is exact arbitrary-precision integer arithmetic, with one
-exception: asymptotic_rows, the only place in the package where floats appear.
+Everything here is exact arbitrary-precision integer arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ALL_VARIANTS",
-    "AsymptoticEstimate",
     "BoundParams",
     "VARIANT_11",
     "VARIANT_1_BAR1",
@@ -19,8 +17,6 @@ __all__ = [
     "VARIANT_BAR1_BAR1",
     "VARIANT_LABELS",
     "Variant",
-    "asymptotic_rows",
-    "binary_entropy",
     "binomial",
     "bound_params",
     "inequality_failures",
@@ -143,37 +139,6 @@ def max_columns(n: int, v: int, variant: Variant = VARIANT_11) -> int:
         return 0
     p = bound_params(n, v)
     return p.columns - variant.drops_zero_shape(v) + (variant.d_barred and p.dbar_recovers)
-
-
-@dataclass(frozen=True)
-class AsymptoticEstimate:
-    epsilon: float
-    entropy: float
-    estimated_rows: float
-
-
-def binary_entropy(p: float) -> float:
-    """H(p) in bits, with the usual convention H(0) = H(1) = 0."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def asymptotic_rows(k: int, v: int) -> AsymptoticEstimate:
-    """Leading-order estimate of the rows needed for k columns on v symbols.
-
-    For fixed v and large k the optimal row count behaves like
-    v * log2(k) / (v*log2(v) - (v-1)*log2(v-1)); the entropy reported is the
-    limiting per-row information H(1/v).
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if v < 2:
-        raise ValueError(f"need v >= 2, got {v}")
-    eps = 1.0 / v
-    denom = v * math.log2(v) - (v - 1) * math.log2(v - 1)
-    rows = v * math.log2(k) / denom
-    return AsymptoticEstimate(epsilon=eps, entropy=binary_entropy(eps), estimated_rows=rows)
 
 
 def inequality_failures(max_n: int = 200) -> list[str]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import advance, check_realization, init_realization, realize
+from .baranyai import advance, check_realization, init_realization
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
 from .spread_types import VType, build_optimal_type, build_variant_type, is_admissible
@@ -58,8 +58,10 @@ def type_realization_failures(t: VType) -> list[str]:
     """Realize one admissible type, checking each step and the result.
 
     The counting invariant must hold after every step; the requested blocks
-    must be pairwise distinct and their spreads must have the type's shapes;
-    with the padding spreads added, the blocks must be the powerset, once each.
+    must be pairwise distinct and their spreads must have the type's shapes.
+    The padding is every subset no block uses, so the padded system is the
+    powerset, once each, exactly when the blocks are also strictly increasing
+    tuples inside 1..n.
     """
     n, v = t.n, t.v
     state = init_realization(t)
@@ -73,15 +75,14 @@ def type_realization_failures(t: VType) -> list[str]:
             ]
     fails = []
     blocks = [b for g in state.groups for b in g.blocks]
-    if len(set(blocks)) != len(blocks):
+    distinct = len(set(blocks)) == len(blocks)
+    if not distinct:
         fails.append(f"block distinctness broken at n={n}, v={v}")
     got = Counter(tuple(sorted(len(b) for b in g.blocks)) for g in state.groups)
     if got != Counter({shape.entries: count for shape, count in t.items()}):
         fails.append(f"type fidelity broken at n={n}, v={v}")
-    padded = [b for sp in realize(t, include_fill=True).spreads for b in sp.blocks]
     ground = set(range(1, n + 1))
-    subsets = {b for b in padded if sorted(set(b) & ground) == list(b)}
-    if len(subsets) != len(padded) or len(padded) != 1 << n:
+    if not distinct or any(sorted(ground.intersection(b)) != list(b) for b in blocks):
         fails.append(f"padded system is not the powerset at n={n}, v={v}")
     return fails
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .combinatorics import VARIANT_11, Variant, binomial, bound_params
+from .combinatorics import VARIANT_11, Variant, bound_params
 
 __all__ = [
     "Admissibility",
@@ -65,11 +65,11 @@ class Shape:
 class VType:
     """A multiset of shapes over the ground set {1..n}, with symbol count v.
 
-    Shapes may have any positive number of entries; is_v_type() reports
-    whether every shape has exactly v of them.
+    Shapes may have any positive number of entries. The size-x slot counts
+    sigma(x) are tallied once, while the shapes are merged.
     """
 
-    __slots__ = ("n", "v", "_shapes")
+    __slots__ = ("n", "v", "_shapes", "_slots")
 
     def __init__(
         self,
@@ -83,22 +83,23 @@ class VType:
             raise ValueError(f"need v >= 2, got {v}")
         items = shapes.items() if isinstance(shapes, Mapping) else shapes
         merged: dict[Shape, int] = {}
+        slots: Counter[int] = Counter()
         for shape, count in items:
             if count <= 0:
                 raise ValueError(f"multiplicity of {shape} must be positive")
             if shape.total > n:
                 raise ValueError(f"{shape} does not fit in a ground set of size {n}")
             merged[shape] = merged.get(shape, 0) + count
+            for x in shape.entries:
+                slots[x] += count
         self.n = n
         self.v = v
         self._shapes = dict(sorted(merged.items()))
+        self._slots = slots
 
     def items(self) -> list[tuple[Shape, int]]:
         """(shape, multiplicity) pairs in canonical (lexicographic) order."""
         return list(self._shapes.items())
-
-    def multiplicity(self, shape: Shape) -> int:
-        return self._shapes.get(shape, 0)
 
     def size(self) -> int:
         """Total number of shapes, counted with multiplicity."""
@@ -106,10 +107,7 @@ class VType:
 
     def sigma(self, x: int) -> int:
         """Number of size-x slots across all shapes, counted with multiplicity."""
-        return sum(count * shape.mu(x) for shape, count in self._shapes.items())
-
-    def is_v_type(self) -> bool:
-        return all(len(shape) == self.v for shape in self._shapes)
+        return self._slots[x]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VType):
@@ -146,13 +144,14 @@ class InadmissibleTypeError(ValueError):
 
 
 def is_admissible(t: VType) -> Admissibility:
-    """Check sigma(x) <= C(n, x) for every block size x present in the type."""
-    sizes = sorted({x for shape, _ in t.items() for x in shape.entries})
-    for x in sizes:
+    """Check sigma(x) <= C(n, x) for x = 0, 1, ... up to the largest block size."""
+    largest = max((shape.entries[-1] for shape, _ in t.items()), default=-1)
+    capacity = 1  # C(n, x), advanced by C(n, x+1) = C(n, x) * (n-x) / (x+1)
+    for x in range(largest + 1):
         used = t.sigma(x)
-        capacity = binomial(t.n, x)
         if used > capacity:
             return Admissibility(False, x, used, capacity)
+        capacity = capacity * (t.n - x) // (x + 1)
     return Admissibility(True)
 
 
@@ -200,8 +199,10 @@ def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
     trades pairs of balanced shapes for offset shapes so the capacity works
     out. If variant.drops_zero_shape(v) the balanced shape with minimum 0
     goes, and a d-barred type whose dbar_recovers holds makes up for it with
-    one top-level swap. Raises ValueError unless 2 <= v <= max_symbols(n).
+    one top-level swap. Raises ValueError unless n >= 1 and 2 <= v <= max_symbols(n).
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     top = variant.max_symbols(n)
     if not 2 <= v <= top:
         raise ValueError(f"need 2 <= v <= {top} for variant {variant.label}; got v={v}, n={n}")

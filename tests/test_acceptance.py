@@ -21,7 +21,7 @@ from locarray import (
     verify_by_definition,
     verify_la,
 )
-from locarray.combinatorics import asymptotic_rows, inequality_failures
+from locarray.combinatorics import inequality_failures
 from locarray.selfcheck import formula_failures, oracle_failures, type_realization_failures
 from conftest import random_admissible_type
 
@@ -105,12 +105,3 @@ def test_inequality_suite():
     assert inequality_failures(200) == []
     assert time.time() - start < 30.0
     _report("binomial inequality suite exact for n <= 200")
-
-
-def test_asymptotic_sanity():
-    start = time.time()
-    k = max_columns(60, 3)
-    est = asymptotic_rows(k, 3)
-    assert abs(est.estimated_rows - 60) / 60 <= 0.10
-    assert time.time() - start < 5.0
-    _report("asymptotic row estimate recovers n = 60 within 10% at v = 3")

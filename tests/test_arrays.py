@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,6 @@ from locarray import (
     verify_da11,
     verify_la,
 )
-from locarray.arrays import array_to_partitions, rho
 from locarray.baranyai import Spread, SpreadSystem
 from conftest import random_array
 
@@ -40,55 +40,6 @@ class TestTestArray:
     def test_symbol_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TestArray(((0, 2),), v=2)
-
-
-class TestRho:
-    def test_constant_column(self):
-        arr = TestArray(((1,), (1,), (1,)), v=2)
-        assert rho(arr, {(1, 1)}) == frozenset({1, 2, 3})
-        assert rho(arr, {(1, 0)}) == frozenset()
-
-    def test_empty_interaction_covers_every_row(self):
-        assert rho(ARR34, frozenset()) == frozenset({1, 2, 3})
-
-    def test_hand_value(self):
-        assert rho(ARR34, {(2, 0)}) == frozenset({1})
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            rho(ARR34, {(5, 0)})
-        with pytest.raises(ValueError):
-            rho(ARR34, {(1, 2)})
-        with pytest.raises(ValueError):
-            rho(ARR34, {(1, 0), (1, 1)})
-
-
-class TestArrayToPartitions:
-    def test_classes_partition_the_rows(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            arr = random_array(rng)
-            everything = set(range(1, arr.n_rows + 1))
-            for classes in array_to_partitions(arr):
-                assert len(classes) == arr.v
-                elems = [r for cl in classes for r in cl]
-                assert len(elems) == arr.n_rows and set(elems) == everything
-
-    def test_hand_classes(self):
-        parts = array_to_partitions(ARR34)
-        assert parts[0] == [frozenset(), frozenset({1, 2, 3})]
-        assert parts[1] == [frozenset({1}), frozenset({2, 3})]
-        assert parts[2] == [frozenset({2}), frozenset({1, 3})]
-        assert parts[3] == [frozenset({3}), frozenset({1, 2})]
-
-    def test_classes_match_rho(self):
-        rng = random.Random(29)
-        for _ in range(20):
-            arr = random_array(rng)
-            parts = array_to_partitions(arr)
-            for c in range(1, arr.k + 1):
-                for s in range(arr.v):
-                    assert parts[c - 1][s] == rho(arr, {(c, s)})
 
 
 class TestSpreadsToArray:
@@ -120,8 +71,7 @@ class TestSpreadsToArray:
         # column classes, sorted canonically, rebuild the spread blocks
         system = realize(build_optimal_type(5, 3))
         arr = spreads_to_array(system, 3)
-        parts = array_to_partitions(arr)
-        for sp, classes in zip(system.spreads, parts):
+        for sp, classes in zip(system.spreads, set_classes(arr)):
             want = sorted(sp.blocks, key=lambda b: (len(b), b))
             got = sorted((tuple(sorted(cl)) for cl in classes), key=lambda b: (len(b), b))
             assert got == list(want)
@@ -234,6 +184,31 @@ class TestVerifiersAgainstRowSets:
                 outcomes[name].add(got.ok)
         # both verdicts occur, so the witnesses of failures and the passes are compared
         assert outcomes == {"ca2": {True, False}, "da11": {True, False}}
+
+
+def pair_array(duplicate_last):
+    """8 x 35: one column per 4-subset of the rows that holds row 1, class 0 on
+    the subset, so every class is the complement of exactly one other."""
+    cols = [[0 if r in subset else 1 for r in range(1, 9)]
+            for subset in combinations(range(1, 9), 4) if 1 in subset]
+    if duplicate_last:
+        cols.append(cols[-1])
+    return TestArray(tuple(zip(*cols)), v=2)
+
+
+class TestWitnessOrder:
+    """The first fault sits in the last column pair; the scan order must find it."""
+
+    def test_pair_array_passes(self):
+        arr = pair_array(duplicate_last=False)
+        assert arr.k == 35
+        assert verify_la(arr) and verify_ca2(arr) and verify_da11(arr)
+
+    def test_late_duplicate_is_named(self):
+        arr = pair_array(duplicate_last=True)
+        assert verify_ca2(arr).witness == ((35, 0), (36, 1))
+        assert verify_da11(arr).witness == ((35, 0), (36, 0))
+        assert verify_la(arr).witness == ((35, 0), (36, 0))
 
 
 class TestGenerateLa:

@@ -113,6 +113,12 @@ class TestTypeRealizeGenerate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_no_rows_names_n_for_every_command(self, capsys):
+        # v = 2 is in range for every n >= 1, so only n can be at fault
+        for command in ("type", "bound", "generate"):
+            code, out, err = run([command, "--N", "0", "--v", "2"], capsys)
+            assert (code, out, err) == (2, "", "error: need n >= 1, got 0\n"), command
+
     def test_generate_impossible_is_usage_error(self, capsys):
         code, _, err = run(["generate", "--N", "3", "--v", "5"], capsys)
         assert code == 2

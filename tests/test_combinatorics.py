@@ -12,8 +12,6 @@ from locarray import (
 )
 from locarray.combinatorics import (
     VARIANT_LABELS,
-    asymptotic_rows,
-    binary_entropy,
     binomial,
     bound_params,
     inequality_failures,
@@ -167,35 +165,3 @@ def binomial_(n, k):
 class TestInequalities:
     def test_suite_holds_to_sixty(self):
         assert inequality_failures(60) == []
-
-
-class TestAsymptotics:
-    def test_single_column(self):
-        assert asymptotic_rows(1, 3).estimated_rows == 0.0
-
-    def test_two_symbols(self):
-        # denominator 2*log2(2) - 1*log2(1) = 2, so the estimate is log2(k)
-        est = asymptotic_rows(2**29, 2)
-        assert est.estimated_rows == pytest.approx(29.0)
-
-    def test_entropy_properties(self):
-        assert binary_entropy(0.5) == pytest.approx(1.0)
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        for i in range(1, 50):
-            p = i / 50
-            assert 0.0 <= binary_entropy(p) <= 1.0
-            assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p))
-
-    def test_recovers_sixty_rows(self):
-        k = max_columns(60, 3)
-        est = asymptotic_rows(k, 3)
-        assert abs(est.estimated_rows - 60) / 60 <= 0.10
-        assert est.epsilon == pytest.approx(1 / 3)
-        assert est.entropy == pytest.approx(binary_entropy(1 / 3))
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            asymptotic_rows(0, 3)
-        with pytest.raises(ValueError):
-            asymptotic_rows(4, 1)

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -53,7 +55,7 @@ class TestShape:
 class TestVType:
     def test_merges_duplicate_shapes(self):
         t = VType(4, 2, [(Shape((1, 3)), 1), (Shape((3, 1)), 2)])
-        assert t.multiplicity(Shape((1, 3))) == 3
+        assert t.items() == [(Shape((1, 3)), 3)]
         assert t.size() == 3
 
     def test_rejects_oversized_shape(self):
@@ -69,10 +71,6 @@ class TestVType:
         assert t.sigma(2) == 6 + 9
         assert t.sigma(1) == 6
         assert t.sigma(5) == 0
-
-    def test_is_v_type(self):
-        assert VType(6, 3, {Shape((1, 2, 3)): 1}).is_v_type()
-        assert not VType(6, 3, {Shape((6,)): 1}).is_v_type()
 
 
 class TestAdmissibility:
@@ -90,6 +88,42 @@ class TestAdmissibility:
         verdict = is_admissible(t)
         assert not verdict
         assert verdict.size == 2 and verdict.used == 18 and verdict.capacity == 15
+
+    def test_matches_a_per_size_reference(self):
+        # optimal types plus three random single blocks, against math.comb per
+        # size; the blocks land on tight and on slack sizes, so both verdicts occur
+        rng = random.Random(4099)
+        verdicts = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 29)
+            v = rng.randint(2, n + 1)
+            shapes = build_optimal_type(n, v).items()
+            shapes += [(Shape((rng.randint(0, n),)), 1) for _ in range(3)]
+            t = VType(n, v, shapes)
+            got = is_admissible(t)
+            want = reference_admissibility(t)
+            assert (got.ok, got.size, got.used, got.capacity) == want, t
+            verdicts[got.ok] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
+    def test_large_n(self):
+        for variant in (VARIANT_11, VARIANT_BAR1_1):
+            t = build_variant_type(20000, 3, variant)
+            start = time.perf_counter()
+            assert is_admissible(t)
+            assert time.perf_counter() - start < 1.0
+
+
+def reference_admissibility(t):
+    """(ok, size, used, capacity) from slots counted per size and math.comb."""
+    slots = Counter()
+    for shape, count in t.items():
+        for x in shape.entries:
+            slots[x] += count
+    for x in sorted(slots):
+        if slots[x] > math.comb(t.n, x):
+            return False, x, slots[x], math.comb(t.n, x)
+    return True, None, None, None
 
 
 class TestBalancedShape:
@@ -172,7 +206,7 @@ class TestOptimalType:
         for n in range(2, 13):
             for v in range(2, n + 2):
                 t = build_optimal_type(n, v)
-                assert t.is_v_type()
+                assert all(len(shape) == v for shape, _ in t.items())
                 assert t.size() == max_columns(n, v)
                 assert is_admissible(t)
 
@@ -274,6 +308,12 @@ class TestVariantType:
     def test_large_n(self):
         for variant in (VARIANT_11, VARIANT_BAR1_1):
             assert build_variant_type(20000, 3, variant).size() == max_columns(20000, 3, variant)
+
+    def test_no_rows_names_n(self):
+        # v = 2 fits every n >= 1, so the message must name n, not the v range
+        for n in (0, -5):
+            with pytest.raises(ValueError, match=r"^need n >= 1, got -?\d+$"):
+                build_variant_type(n, 2)
 
     def test_both_barred_equals_d_barred(self):
         for n in range(2, 10):
