@@ -8,6 +8,8 @@ interaction is covered by every row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .baranyai import DEFAULT_MAX_N, SpreadSystem, realize
 from .combinatorics import VARIANT_11, Variant, max_columns
@@ -68,15 +70,23 @@ class Verdict:
         return self.ok
 
 
-def _class_masks(arr: TestArray) -> list[list[int]]:
-    """Per column, its v row classes as bitmasks: bit r-1 of class s is set when
-    row r shows symbol s. The one place where classes are read off the rows."""
-    masks = [[0] * arr.v for _ in range(arr.k)]
+def _class_forms(arr: TestArray) -> tuple[list[list[int]], list[list[int]]]:
+    """Both forms of the column classes, from the one pass that reads them off the rows.
+
+    By column: per column, its v classes as row bitmasks (bit r-1 of class s is
+    set when row r shows s). By row, the transpose: per row and symbol s, the
+    bitmask of the columns that show s in that row.
+    """
+    by_column = [[0] * arr.v for _ in range(arr.k)]
+    by_row = []
     for r, row in enumerate(arr.rows):
         bit = 1 << r
-        for classes, s in zip(masks, row):
+        columns = [0] * arr.v
+        for c, (classes, s) in enumerate(zip(by_column, row)):
             classes[s] |= bit
-    return masks
+            columns[s] |= 1 << c
+        by_row.append(columns)
+    return by_column, by_row
 
 
 def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
@@ -88,7 +98,7 @@ def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
     """
     full = (1 << arr.n_rows) - 1
     seen: dict[int, tuple[int, int]] = {}
-    for c, classes in enumerate(_class_masks(arr), start=1):
+    for c, classes in enumerate(_class_forms(arr)[0], start=1):
         for s, rows in enumerate(classes):
             if variant.d_barred and not rows:
                 return Verdict(False, "empty class", ((c, s),))
@@ -101,29 +111,52 @@ def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
 
 
 def verify_ca2(arr: TestArray) -> Verdict:
-    """Strength-2 coverage: every symbol pair appears in some row, for every column pair."""
-    masks = _class_masks(arr)
-    for c1, classes1 in enumerate(masks):
-        for c2 in range(c1 + 1, len(masks)):
-            for s1, r1 in enumerate(classes1):
-                for s2, r2 in enumerate(masks[c2]):
-                    if not r1 & r2:
-                        return Verdict(
-                            False, "uncovered symbol pair", ((c1 + 1, s1), (c2 + 1, s2))
-                        )
+    """Strength-2 coverage: every symbol pair appears in some row, for every column pair.
+
+    The witness is the first uncovered pair in (c1, c2, s1, s2) order.
+    """
+    by_column, by_row = _class_forms(arr)
+    everything = (1 << arr.k) - 1
+    for c1, classes in enumerate(by_column, start=1):
+        later = everything >> c1 << c1
+        gaps = []
+        for s1, rows in enumerate(classes):
+            entries = [symbols for r, symbols in enumerate(by_row) if rows >> r & 1]
+            for s2 in range(arr.v):
+                # the later columns that show s2 in no row of class (c1, s1);
+                # the lowest set bit, as a 1-based column, is the first c2
+                missed = later & ~reduce(or_, (symbols[s2] for symbols in entries), 0)
+                if missed:
+                    gaps.append(((missed & -missed).bit_length(), s1, s2))
+        if gaps:
+            c2, s1, s2 = min(gaps)
+            return Verdict(False, "uncovered symbol pair", ((c1, s1), (c2, s2)))
     return Verdict(True)
 
 
 def verify_da11(arr: TestArray) -> Verdict:
-    """Inclusion-freeness: no column class contained in another (an antichain)."""
-    labeled = [
-        (c, s, rows)
-        for c, classes in enumerate(_class_masks(arr), start=1)
-        for s, rows in enumerate(classes)
-    ]
-    for i, (c1, s1, r1) in enumerate(labeled):
-        for j, (c2, s2, r2) in enumerate(labeled):
-            if r1 & r2 == r1 and i != j:
+    """Inclusion-freeness: no column class contained in another (an antichain).
+
+    The witness is the first pair of classes in column-major order.
+    """
+    by_column, by_row = _class_forms(arr)
+    everything = (1 << arr.k) - 1
+    for c1, classes in enumerate(by_column, start=1):
+        for s1, rows in enumerate(classes):
+            entries = [symbols for r, symbols in enumerate(by_row) if rows >> r & 1]
+            hosts = []
+            for s2 in range(arr.v):
+                # the columns that show s2 in every row of class (c1, s1), all
+                # of them when the class is empty, other than c1 itself
+                inside = everything & ~(1 << (c1 - 1)) if s2 == s1 else everything
+                for symbols in entries:
+                    inside &= symbols[s2]
+                    if not inside:
+                        break
+                if inside:
+                    hosts.append(((inside & -inside).bit_length(), s2))
+            if hosts:
+                c2, s2 = min(hosts)
                 return Verdict(False, "class contained in another", ((c1, s1), (c2, s2)))
     return Verdict(True)
 

@@ -12,6 +12,7 @@ from locarray import (
     ALL_VARIANTS,
     VARIANT_11,
     Shape,
+    TestArray,
     VType,
     build_optimal_type,
     generate_la,
@@ -19,6 +20,8 @@ from locarray import (
     max_columns,
     realize,
     verify_by_definition,
+    verify_ca2,
+    verify_da11,
     verify_la,
 )
 from locarray.combinatorics import inequality_failures
@@ -88,6 +91,25 @@ def test_pair_partition_special_case():
     assert sorted(seen) == sorted(itertools.combinations(range(1, 7), 2))
     assert time.time() - start < 1.0
     _report("all fifteen 2-subsets of a 6-set split into 5 perfect matchings")
+
+
+def test_large_array_verification():
+    # 14 x 1716: one column per 7-subset of the rows that holds row 1, class 0
+    # on the subset, so every class is the complement of exactly one other
+    start = time.time()
+    rng = random.Random(14)
+    cols = [[0 if r in subset else 1 for r in range(1, 15)]
+            for subset in itertools.combinations(range(1, 15), 7) if 1 in subset]
+    rng.shuffle(cols)
+    arr = TestArray(tuple(zip(*cols)), v=2)
+    assert arr.k == 1716
+    assert verify_la(arr) and verify_ca2(arr) and verify_da11(arr)
+    dup = TestArray(tuple(zip(*cols, cols[-1])), v=2)
+    assert verify_ca2(dup).witness == ((1716, 0), (1717, 1))
+    assert verify_da11(dup).witness == ((1716, 0), (1717, 0))
+    assert verify_la(dup).witness == ((1716, 0), (1717, 0))
+    assert time.time() - start < 2.0
+    _report("14x1716 pair array passes la, ca2, da11; its duplicated last column is named")
 
 
 def test_engine_invariants():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -209,6 +209,81 @@ class TestWitnessOrder:
         assert verify_ca2(arr).witness == ((35, 0), (36, 1))
         assert verify_da11(arr).witness == ((35, 0), (36, 0))
         assert verify_la(arr).witness == ((35, 0), (36, 0))
+
+
+def wide_array(rng, v, fault):
+    """A seeded array of 66-72 columns, so column masks pass 64 bits, with one
+    fault planted in its last columns (or none)."""
+    k = rng.randint(66, 72)
+    rows = [[rng.randrange(v) for _ in range(k)] for _ in range(10 * v * v)]
+    c1 = rng.randrange(k - 8, k - 1)
+    c2 = rng.randrange(c1 + 1, k)
+    if fault == "duplicate":
+        earlier = rng.randrange(k - 1)
+        for row in rows:
+            row[-1] = row[earlier]
+    elif fault == "empty class":
+        gone = rng.randrange(v)
+        for row in rows:
+            row[-1] = rng.choice([s for s in range(v) if s != gone])
+    elif fault == "contained":  # class (c1, s) inside class (c2, t)
+        s, t = rng.randrange(v), rng.randrange(v)
+        for row in rows:
+            if row[c1] == s:
+                row[c2] = t
+    elif fault == "permuted":  # c2 a relabelled c1: many (s1, s2) uncovered against c2
+        image = rng.sample(range(v), v)
+        for row in rows:
+            row[c2] = image[row[c1]]
+    return TestArray(tuple(map(tuple, rows)), v)
+
+
+class TestVerifiersOnWideArrays:
+    FAULTS = (None, "duplicate", "empty class", "contained", "permuted")
+    REASONS = {"ca2": "uncovered symbol pair", "da11": "class contained in another"}
+
+    def check(self, arr):
+        """Compare both verifiers with the row-set references; return the failing checks."""
+        failed = {}
+        for name, check, reference in (("ca2", verify_ca2, reference_ca2),
+                                       ("da11", verify_da11, reference_da11)):
+            ok, witness = reference(arr)
+            got = check(arr)
+            assert (got.ok, got.reason, got.witness) == (
+                ok, "" if ok else self.REASONS[name], witness), (name, arr)
+            if not ok:
+                failed[name] = witness
+        return failed
+
+    def test_late_faults_match_the_references(self):
+        rng = random.Random(77)
+        late = set()
+        passed = set()
+        for v in range(2, 6):
+            for fault in self.FAULTS:
+                arr = wide_array(rng, v, fault)
+                failed = self.check(arr)
+                passed |= {"ca2", "da11"} - failed.keys()
+                late |= {name for name, witness in failed.items()
+                         if min(c for c, _ in witness) > 64}
+        # both checks pass somewhere and name a fault whose columns both sit past bit 64
+        assert passed == late == {"ca2", "da11"}
+
+    def test_tie_break_between_uncovered_pairs(self):
+        # column 2 relabels column 1 by 0->0, 1->2, 2->1: the uncovered pairs
+        # against column 2 are (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)
+        arr = TestArray(((0, 0), (1, 2), (2, 1)), v=3)
+        assert self.check(arr)["ca2"] == ((1, 0), (2, 1))
+
+    def test_edge_arrays(self):
+        assert self.check(TestArray((), v=2)) == {}
+        assert self.check(TestArray(((), ()), v=3)) == {}
+        for n in range(1, 4):
+            for v in range(1, 4):
+                for rows in product(range(v), repeat=n):
+                    self.check(TestArray(tuple((s,) for s in rows), v))
+        # the empty class (1, 1) is the first class contained in another
+        assert self.check(TestArray(((0,),), v=2))["da11"] == ((1, 1), (1, 0))
 
 
 class TestGenerateLa:
