@@ -21,9 +21,10 @@ order; the augmenting search scans classes and cells in that same order.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .combinatorics import binomial
 from .spread_types import VType, make_full
@@ -33,7 +34,6 @@ __all__ = [
     "CapExceededError",
     "Cell",
     "ClassNode",
-    "Group",
     "RealizationCheck",
     "RealizationState",
     "Spread",
@@ -43,9 +43,12 @@ __all__ = [
     "advance",
     "build_step_network",
     "check_realization",
+    "decode_slot",
+    "encode_slot",
     "init_realization",
     "integral_step_assignment",
     "realize",
+    "slot_increments",
 ]
 
 DEFAULT_MAX_N = 16
@@ -61,19 +64,42 @@ class StepInfeasibleError(RuntimeError):
     """The per-step assignment has no solution; indicates a corrupted state."""
 
 
-@dataclass(frozen=True)
-class Group:
-    """One requested partial spread: current blocks and their target sizes."""
+def encode_slot(n: int, block: Block, target: int) -> int:
+    """One block and its target size as a single int: a slot of the realization state.
 
-    blocks: tuple[Block, ...]
-    targets: tuple[int, ...]
+    In base n + 1: the block's elements, most significant first and padded with
+    zeros to n digits, then its size, then the target. Integer order on slots
+    is (block, target) order, and an empty block's slot is its target.
+    """
+    base = n + 1
+    digits = sum(e * base ** (n - 1 - i) for i, e in enumerate(block))
+    return (digits * base + len(block)) * base + target
 
 
-@dataclass(frozen=True)
-class RealizationState:
+def decode_slot(n: int, slot: int) -> tuple[Block, int]:
+    """The (block, target) pair a slot encodes."""
+    base = n + 1
+    rest, target = divmod(slot, base)
+    digits, size = divmod(rest, base)
+    digits //= base ** (n - size)
+    block = [0] * size
+    for i in reversed(range(size)):
+        digits, block[i] = divmod(digits, base)
+    return tuple(block), target
+
+
+def slot_increments(n: int) -> tuple[tuple[int, ...], ...]:
+    """inc[e][s]: what placing element e into a block of size s adds to its slot."""
+    base = n + 1
+    return tuple(tuple(e * base ** (n + 1 - s) + base for s in range(n)) for e in range(n + 1))
+
+
+class RealizationState(NamedTuple):
+    """After placing elements 1..tau: per group, one slot int per block, in shape order."""
+
     n: int
     tau: int
-    groups: tuple[Group, ...]
+    groups: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -90,19 +116,16 @@ class RealizationCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Blocks with the same content and target; low to high of them get the next element."""
+class Cell(NamedTuple):
+    """Blocks with the same slot; low to high of them get the next element."""
 
-    block: Block
-    target: int
+    slot: int
     low: int
     high: int
 
 
-@dataclass(frozen=True)
-class ClassNode:
-    """Groups with identical (block, target) multisets, merged for the step solve.
+class ClassNode(NamedTuple):
+    """Groups with identical slot multisets, merged for the step solve.
 
     arcs holds (cell index, numerator, block position); the fractional flow on
     an arc is numerator / denominator.
@@ -113,8 +136,7 @@ class ClassNode:
     skip_numerator: int
 
 
-@dataclass(frozen=True)
-class StepNetwork:
+class StepNetwork(NamedTuple):
     tau: int
     den: int  # n - tau, the common denominator of all fractional arc values
     cells: tuple[Cell, ...]
@@ -127,12 +149,9 @@ def init_realization(t: VType) -> RealizationState:
     make_full is the admissibility gate; the padding that would complete the
     powerset stays implicit as the slack of the counting invariant.
     """
-    groups: list[Group] = []
-    for shape, count in make_full(t).items():
-        targets = shape.entries
-        empty = ((),) * len(targets)
-        groups.extend(Group(empty, targets) for _ in range(count))
-    return RealizationState(t.n, 0, tuple(groups))
+    # the slot of an empty block is its target
+    groups = tuple(shape.entries for shape, count in make_full(t).items() for _ in range(count))
+    return RealizationState(t.n, 0, groups)
 
 
 def check_realization(state: RealizationState) -> RealizationCheck:
@@ -142,13 +161,10 @@ def check_realization(state: RealizationState) -> RealizationCheck:
     times, and at most zero times if the block holds an element outside 1..tau.
     """
     n, tau = state.n, state.tau
-    counts: dict[tuple[Block, int], int] = {}
-    for g in state.groups:
-        for blk, m in zip(g.blocks, g.targets):
-            counts[(blk, m)] = counts.get((blk, m), 0) + 1
-    for (blk, m), observed in sorted(counts.items()):
-        placed = all(1 <= e <= tau for e in blk)
-        expected = binomial(n - tau, m - len(blk)) if placed else 0
+    counts = Counter(s for slots in state.groups for s in slots)
+    for s, observed in sorted(counts.items()):
+        blk, m = decode_slot(n, s)
+        expected = binomial(n - tau, m - len(blk)) if all(1 <= e <= tau for e in blk) else 0
         if observed > expected:
             return RealizationCheck(False, blk, m, observed, expected)
     return RealizationCheck(True)
@@ -164,51 +180,42 @@ def build_step_network(state: RealizationState) -> StepNetwork:
     n, tau = state.n, state.tau
     if tau >= n:
         raise ValueError("realization is already complete")
-    den = n - tau
+    den, base = n - tau, n + 1
 
-    open_counts: dict[tuple[Block, int], int] = {}
-    for g in state.groups:
-        for blk, m in zip(g.blocks, g.targets):
-            if m > len(blk):
-                open_counts[(blk, m)] = open_counts.get((blk, m), 0) + 1
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    for gi, slots in enumerate(state.groups):
+        by_key.setdefault(tuple(sorted(slots)), []).append(gi)
+
+    open_counts: dict[int, int] = {}
+    for key, members in by_key.items():
+        for s in key:
+            if s % base > s // base % base:  # target above size: the block is open
+                open_counts[s] = open_counts.get(s, 0) + len(members)
+    choose = [binomial(den - 1, j) for j in range(n + 1)]
     cells: list[Cell] = []
-    cell_index: dict[tuple[Block, int], int] = {}
-    for (blk, m), count in sorted(open_counts.items()):
-        need = m - len(blk)
-        low = count - binomial(den - 1, need)
-        high = binomial(den - 1, need - 1)
+    for s in sorted(open_counts):
+        need = s % base - s // base % base
+        low = open_counts[s] - choose[need]
+        high = choose[need - 1]
         if low > high:
             raise ValueError("not a realization state: a cell holds more blocks than it may")
-        cell_index[(blk, m)] = len(cells)
-        cells.append(Cell(blk, m, low, high))
-
-    by_key: dict[tuple, list[int]] = {}
-    for gi, g in enumerate(state.groups):
-        key = tuple(sorted(zip(g.blocks, g.targets)))
-        by_key.setdefault(key, []).append(gi)
+        cells.append(Cell(s, low, high))
+    cell_index = {c.slot: ci for ci, c in enumerate(cells)}
 
     classes: list[ClassNode] = []
     for key in sorted(by_key):
-        members = tuple(by_key[key])
-        g = state.groups[members[0]]
-        per_cell: dict[int, tuple[int, int]] = {}  # cell -> (weight, first block pos)
-        for pos, (blk, m) in enumerate(zip(g.blocks, g.targets)):
-            if m > len(blk):
-                ci = cell_index[(blk, m)]
-                weight, first = per_cell.get(ci, (0, pos))
-                per_cell[ci] = (weight + 1, first)
-        arcs = []
-        used = 0
+        members = by_key[key]
         nmem = len(members)
-        for ci in sorted(per_cell):
-            weight, first = per_cell[ci]
-            num = nmem * weight * (cells[ci].target - len(cells[ci].block))
-            arcs.append((ci, num, first))
-            used += num
-        skip_num = nmem * den - used
+        rep = state.groups[members[0]]
+        arcs = []
+        for i, s in enumerate(key):
+            ci = cell_index.get(s)
+            if ci is not None and (i == 0 or key[i - 1] != s):  # one arc per distinct open slot
+                arcs.append((ci, nmem * key.count(s) * (s % base - s // base % base), rep.index(s)))
+        skip_num = nmem * den - sum([num for _ci, num, _pos in arcs])
         if skip_num < 0:
             raise ValueError("not a realization state: open slots exceed remaining elements")
-        classes.append(ClassNode(members, tuple(arcs), skip_num))
+        classes.append(ClassNode(tuple(members), tuple(arcs), skip_num))
     return StepNetwork(tau, den, tuple(cells), tuple(classes))
 
 
@@ -222,10 +229,8 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
     cell within its bounds and stays within one unit of the fractional flow
     on each aggregated arc.
     """
-    den = net.den
-    ncells = len(net.cells)
+    den, ncells, nclasses = net.den, len(net.cells), len(net.classes)
     skip = ncells  # option index for skipping
-    nclasses = len(net.classes)
 
     base: list[dict[int, int]] = []
     frac_opts: list[list[int]] = []
@@ -304,37 +309,33 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
     if any(t < lo for t, lo in zip(tally, low)):
         raise StepInfeasibleError("a cell stays below its lower bound after assignment")
 
-    choices: dict[int, int | None] = {}
+    choices: list[int | None] = [None] * high[skip]  # the skip bound counts every group
     for ci, cls in enumerate(net.classes):
         counts = dict(base[ci])
-        for opt in sorted(extra[ci]):
+        for opt in extra[ci]:
             counts[opt] = counts.get(opt, 0) + 1
-        pos_of = {cell_i: pos for cell_i, _num, pos in cls.arcs}
-        idx = 0
-        for opt in sorted(counts):
-            pos = None if opt == skip else pos_of[opt]
-            for _ in range(counts[opt]):
-                choices[cls.members[idx]] = pos
-                idx += 1
-        if idx != len(cls.members):
+        opts = [opt for opt in sorted(counts) for _ in range(counts[opt])]
+        if len(opts) != len(cls.members):
             raise StepInfeasibleError("class assignment does not cover its groups")
-    return tuple(choices[i] for i in range(len(choices)))
+        pos_of = {cell_i: pos for cell_i, _num, pos in cls.arcs}  # skipping has none
+        for gi, opt in zip(cls.members, opts):
+            choices[gi] = pos_of.get(opt)
+    return tuple(choices)
 
 
 def advance(state: RealizationState) -> RealizationState:
     """Place element tau + 1 and return the next state."""
     net = build_step_network(state)
     choice = integral_step_assignment(net)
-    elem = state.tau + 1
-    new_groups = list(state.groups)
+    n, elem = state.n, state.tau + 1
+    base, inc = n + 1, slot_increments(n)[elem]
+    groups = list(state.groups)
     for gi, pos in enumerate(choice):
-        if pos is None:
-            continue
-        g = new_groups[gi]
-        blocks = list(g.blocks)
-        blocks[pos] = blocks[pos] + (elem,)  # elem exceeds everything placed so far
-        new_groups[gi] = Group(tuple(blocks), g.targets)
-    return RealizationState(state.n, state.tau + 1, tuple(new_groups))
+        if pos is not None:
+            slots = groups[gi]
+            s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
+            groups[gi] = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
+    return RealizationState(n, elem, tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -367,16 +368,13 @@ def realize(t: VType, include_fill: bool = False,
     state = init_realization(t)
     for _ in range(n):
         state = advance(state)
-    spreads = []
-    for g in state.groups:
-        for blk, m in zip(g.blocks, g.targets):
-            if len(blk) != m:
-                raise StepInfeasibleError("internal: a block missed its target size")
-        spreads.append(Spread(g.blocks, "requested"))
+    base = n + 1
+    if any(s % base != s // base % base for slots in state.groups for s in slots):
+        raise StepInfeasibleError("internal: a block missed its target size")
+    spreads = [Spread(tuple(decode_slot(n, s)[0] for s in slots), "requested")
+               for slots in state.groups]
     if include_fill:
         used = {blk for sp in spreads for blk in sp.blocks}
-        for size in range(n + 1):
-            for blk in combinations(range(1, n + 1), size):
-                if blk not in used:
-                    spreads.append(Spread((blk,), "fill"))
+        spreads += [Spread((blk,), "fill") for size in range(n + 1)
+                    for blk in combinations(range(1, n + 1), size) if blk not in used]
     return SpreadSystem(n, tuple(spreads))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import advance, check_realization, init_realization
+from .baranyai import advance, check_realization, decode_slot, init_realization
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
 from .spread_types import VType, build_optimal_type, build_variant_type, is_admissible
@@ -74,11 +74,12 @@ def type_realization_failures(t: VType) -> list[str]:
                 f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
             ]
     fails = []
-    blocks = [b for g in state.groups for b in g.blocks]
+    groups = [[decode_slot(n, s)[0] for s in slots] for slots in state.groups]
+    blocks = [b for g in groups for b in g]
     distinct = len(set(blocks)) == len(blocks)
     if not distinct:
         fails.append(f"block distinctness broken at n={n}, v={v}")
-    got = Counter(tuple(sorted(len(b) for b in g.blocks)) for g in state.groups)
+    got = Counter(tuple(sorted(len(b) for b in g)) for g in groups)
     if got != Counter({shape.entries: count for shape, count in t.items()}):
         fails.append(f"type fidelity broken at n={n}, v={v}")
     ground = set(range(1, n + 1))

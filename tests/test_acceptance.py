@@ -4,6 +4,7 @@ Each test prints a single PASS line once its assertions hold (visible with
 pytest -s); stated time budgets are asserted alongside the exactness checks.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -15,6 +16,7 @@ from locarray import (
     TestArray,
     VType,
     build_optimal_type,
+    build_variant_type,
     generate_la,
     is_admissible,
     max_columns,
@@ -25,6 +27,7 @@ from locarray import (
     verify_la,
 )
 from locarray.combinatorics import inequality_failures
+from locarray.formats import format_array, format_spread_system
 from locarray.selfcheck import formula_failures, oracle_failures, type_realization_failures
 from conftest import random_admissible_type
 
@@ -58,6 +61,29 @@ def test_optimal_type_validity():
     _report("optimal types admissible with exact optimal size for n <= 16")
 
 
+# The documents the engine produced before its state became slot ints. Per n,
+# the sha256 over the sha256 of each document of the sweep below, in sweep
+# order: the generate_la array, then the padded realize system.
+SWEEP_SHA256 = {
+    2: "e89ca0a81507fc7107f4f2ec4f731e2e4cd75b101e2673a2536cf02636ac5427",
+    3: "0c5a0a2ade0491710c34f4e554ba3b205b16aef312d28aafb8c175e88ce506f5",
+    4: "331a9c62ec7040aafd4ca2eb9a1316d65cb402919a6f7806751c2155e0b3f071",
+    5: "69f125fbe336d19cccb1ec8aad3de1ad0bfede1bfd38712173b8e1de6f8cdaef",
+    6: "07c2198e6b713d58aa84c24819ff2b881604c2d7f7331448f7dc1aacdced5cf1",
+    7: "42fd0a0c5fe7b434f11dd5d0ca0063c498d24f3f8aec40be6e4f6243153b2460",
+    8: "7791d379642b9075244b0c501cea69ffae47bac98ea59c51e601ce3e51c125c7",
+    9: "3b80e8b4a1ae1aba6b36d59b78469c0c448efbe2bd215e21a410187721952d5b",
+    10: "f8e43266237383fe344141b9f48940fa358feab0f8dd9a717e1e0c000fe46792",
+    11: "b51bdc5c30becb2f6255bb5ac07b37fea06fce310f8a6e8ecb1c5866f8099181",
+    12: "21d97611e23c2b16e3b9b645b10c407a46c891e7e161c75019f27c86e215d1b1",
+}
+# sha256 of format_array(generate_la(n, v)) for the default variant.
+LARGE_SHA256 = {
+    (16, 3): "b2f86771ce37b44fd9f35ef921b28403852930e3779045dfbe8f60ab22272a77",
+    (14, 2): "a13c86ee762f7858c2be03828bd54680fb5ddd57b9b4df2966093e83fc299dbe",
+}
+
+
 def test_end_to_end_generation():
     start = time.time()
     arr = generate_la(10, 3, VARIANT_11)
@@ -65,6 +91,7 @@ def test_end_to_end_generation():
     assert verify_la(arr, VARIANT_11)
     assert verify_by_definition(arr, VARIANT_11)
     for n in range(2, 13):
+        digest = hashlib.sha256()
         for v in range(2, n + 2):
             for variant in ALL_VARIANTS:
                 k = max_columns(n, v, variant)
@@ -73,8 +100,15 @@ def test_end_to_end_generation():
                 arr = generate_la(n, v, variant)
                 assert arr.k == k, (n, v, variant.label)
                 assert verify_la(arr, variant), (n, v, variant.label)
+                system = realize(build_variant_type(n, v, variant), include_fill=True)
+                for doc in (format_array(arr), format_spread_system(system)):
+                    digest.update(hashlib.sha256(doc.encode()).digest())
+        assert digest.hexdigest() == SWEEP_SHA256[n], n
+    for (n, v), want in LARGE_SHA256.items():
+        doc = format_array(generate_la(n, v))
+        assert hashlib.sha256(doc.encode()).hexdigest() == want, (n, v)
     assert time.time() - start < 300.0
-    _report("end-to-end generation: 10x116 verified both ways; n <= 12 sweep exact")
+    _report("end-to-end generation: 10x116 verified both ways; n <= 12 sweep exact; bytes pinned")
 
 
 def test_pair_partition_special_case():

@@ -6,11 +6,12 @@ import pytest
 
 from locarray import CapExceededError, Shape, VType, build_optimal_type, realize
 from locarray.baranyai import (
-    Group,
     RealizationState,
     advance,
     build_step_network,
     check_realization,
+    decode_slot,
+    encode_slot,
     init_realization,
     integral_step_assignment,
 )
@@ -23,16 +24,26 @@ def pair_type(n=2):
     return VType(n, 2, {Shape((1, 1)): 1})
 
 
+def group(n, blocks, targets):
+    """A group of the realization state: one slot per (block, target)."""
+    return tuple(encode_slot(n, blk, m) for blk, m in zip(blocks, targets))
+
+
+def decoded(state):
+    """Per group, its (block, target) pairs in position order."""
+    return [[decode_slot(state.n, s) for s in slots] for slots in state.groups]
+
+
 class TestInitRealization:
     def test_small_full_type(self):
         state = init_realization(pair_type())
         assert state.tau == 0
-        assert state.groups == (Group(((), ()), (1, 1)),)
+        assert state.groups == (group(2, ((), ()), (1, 1)),)
         assert check_realization(state)
         # the slack below each bound is the padding: the empty set and {1, 2}
         slack = {}
         for x in range(state.n + 1):
-            used = sum(g.targets.count(x) for g in state.groups)
+            used = sum(m == x for g in decoded(state) for _blk, m in g)
             slack[x] = binomial(state.n, x) - used
         assert slack == {0: 1, 1: 0, 2: 1}
 
@@ -46,7 +57,7 @@ class TestInitRealization:
             t = random_admissible_type(rng, max_n=8)
             state = init_realization(t)
             assert len(state.groups) == t.size()
-            slots = sum(sum(g.targets) for g in state.groups)
+            slots = sum(m for g in decoded(state) for _blk, m in g)
             padding = sum(x * (binomial(t.n, x) - t.sigma(x)) for x in range(t.n + 1))
             assert slots + padding == t.n * 2 ** (t.n - 1)
             assert check_realization(state)
@@ -58,7 +69,7 @@ class TestAdvance:
         # the bounds force exactly one of the two unit blocks to take element 1,
         # and the group may not skip: it has two open slots for two elements
         assert state.tau == 1
-        assert state.groups == (Group(((1,), ()), (1, 1)),)
+        assert state.groups == (group(2, ((1,), ()), (1, 1)),)
 
     def test_small_step_is_among_valid_outcomes(self):
         state = init_realization(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2}))
@@ -106,11 +117,11 @@ class TestCheckRealization:
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
         state = advance(state)
         assert check_realization(state)
-        g = state.groups[0]
-        blocks = list(g.blocks)
+        blocks, targets = zip(*decoded(state)[0])
+        blocks = list(blocks)
         blocks[0] = (2,) if blocks[0] != (2,) else (3,)
         groups = list(state.groups)
-        groups[0] = Group(tuple(blocks), g.targets)
+        groups[0] = group(state.n, blocks, targets)
         verdict = check_realization(RealizationState(state.n, state.tau, tuple(groups)))
         assert not verdict
         assert verdict.block == blocks[0]
@@ -120,7 +131,7 @@ class TestCheckRealization:
         verdict = check_realization(doubled)
         assert not verdict
         assert verdict.observed == verdict.expected + 1 == 2
-        empty = Group(((), ()), (0, 4))
+        empty = group(4, ((), ()), (0, 4))
         verdict = check_realization(RealizationState(4, 0, (empty, empty)))
         assert not verdict
         assert (verdict.block, verdict.observed, verdict.expected) == ((), 2, 1)
@@ -131,8 +142,8 @@ class TestCheckRealization:
         for _ in range(4):
             state = advance(state)
         assert check_realization(state)
-        for g in state.groups:
-            for blk, m in zip(g.blocks, g.targets):
+        for g in decoded(state):
+            for blk, m in g:
                 assert len(blk) == m
 
 
@@ -272,15 +283,14 @@ def step_choice_vector(state):
 def class_option_counts(state, net, choice):
     """Per class, how many member groups took each option; skips count under index len(cells)."""
     counts: list[dict[int, int]] = [{} for _ in net.classes]
-    cell_of = {(c.block, c.target): i for i, c in enumerate(net.cells)}
+    cell_of = {c.slot: i for i, c in enumerate(net.cells)}
     gi_to_ci = {gi: ci for ci, cls in enumerate(net.classes) for gi in cls.members}
     for gi, pos in enumerate(choice):
         ci = gi_to_ci[gi]
         if pos is None:
             key = len(net.cells)
         else:
-            g = state.groups[gi]
-            key = cell_of[(g.blocks[pos], g.targets[pos])]
+            key = cell_of[state.groups[gi][pos]]
         counts[ci][key] = counts[ci].get(key, 0) + 1
     return counts
 
@@ -293,11 +303,12 @@ def brute_force_choices(state):
     group may be left with more open slots than elements remain.
     """
     den = state.n - state.tau
+    groups = decoded(state)
     cells = Counter()
     options_per_group = []
-    for g in state.groups:
+    for g in groups:
         opts = [None]
-        for pos, (blk, m) in enumerate(zip(g.blocks, g.targets)):
+        for pos, (blk, m) in enumerate(g):
             if m > len(blk):
                 opts.append(pos)
                 cells[(blk, m)] += 1
@@ -310,12 +321,12 @@ def brute_force_choices(state):
     for combo in itertools.product(*options_per_group):
         tally = Counter()
         completable = True
-        for g, pos in zip(state.groups, combo):
-            open_slots = sum(m - len(blk) for blk, m in zip(g.blocks, g.targets))
+        for g, pos in zip(groups, combo):
+            open_slots = sum(m - len(blk) for blk, m in g)
             if pos is None:
                 completable &= open_slots <= den - 1
             else:
-                tally[(g.blocks[pos], g.targets[pos])] += 1
+                tally[g[pos]] += 1
         if completable and all(lo <= tally[key] <= hi for key, (lo, hi) in bounds.items()):
             valid.append(combo)
     return valid

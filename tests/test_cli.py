@@ -222,6 +222,7 @@ class TestExitCodes:
         (["realize", "N 17\nv 2\n1 x 8 9\n"], 3),
         (["oracle", "--N", "6", "--v", "2"], 3),
         (["verify", "2 2 2\n0 0\n1 1\n"], 1),  # column 2 duplicates column 1
+        (["verify", "2 2 99999999999999999999\n0 1\n1 0\n"], 2),  # v above n + 1
     ]
 
     def test_every_subcommand(self, tmp_path, capsys):

@@ -1,7 +1,5 @@
-from dataclasses import replace
-
 from locarray import build_optimal_type, selfcheck
-from locarray.baranyai import advance
+from locarray.baranyai import RealizationState, advance, decode_slot, encode_slot
 
 
 def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
@@ -12,12 +10,13 @@ def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
         if state.tau < state.n:
             return state
         groups = list(state.groups)
-        for gi, g in enumerate(groups):
-            for pos, blk in enumerate(g.blocks):
+        for gi, slots in enumerate(groups):
+            for pos, s in enumerate(slots):
+                blk, m = decode_slot(state.n, s)
                 if len(blk) >= 2:
-                    blocks = g.blocks[:pos] + (blk[::-1],) + g.blocks[pos + 1:]
-                    groups[gi] = replace(g, blocks=blocks)
-                    return replace(state, groups=tuple(groups))
+                    reversed_slot = encode_slot(state.n, blk[::-1], m)
+                    groups[gi] = slots[:pos] + (reversed_slot,) + slots[pos + 1:]
+                    return RealizationState(state.n, state.tau, tuple(groups))
         raise AssertionError("no block with two elements")
 
     monkeypatch.setattr(selfcheck, "advance", reversing_advance)
