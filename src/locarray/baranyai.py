@@ -16,7 +16,10 @@ below their lower bound first, then to any option below its upper bound.
 Determinism contract: elements are placed in increasing order; group classes
 are processed in lexicographic order of their encoded state; within a class,
 cells are served in index order with skips last and member groups in index
-order; the augmenting search scans classes and cells in that same order.
+order. A leftover unit's breadth-first search scans its own class's options
+in that order, then full options in discovery order and each option's holders
+in the order they took it; this reaches classes in the order of a search that
+queues classes, and finds the same paths.
 """
 
 from __future__ import annotations
@@ -225,9 +228,12 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
     Floors the fractional flow on every aggregated arc, then routes the
     leftover units along augmenting paths over the arcs that carry a
     fractional part: first to cells below their lower bound, then to any
-    option below its upper bound (skipping has none). The result keeps every
-    cell within its bounds and stays within one unit of the fractional flow
-    on each aggregated arc.
+    option below its upper bound (skipping has none). Each search scans the
+    start class's options in arc order, queues the full ones in discovery
+    order, and walks an option's holders, in the order they took it, only when
+    it dequeues that option; this finds the same paths as a search that queues
+    classes. The result keeps every cell within its bounds and stays within
+    one unit of the fractional flow on each aggregated arc.
     """
     den, ncells, nclasses = net.den, len(net.cells), len(net.classes)
     skip = ncells  # option index for skipping
@@ -268,28 +274,29 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
         for start in range(nclasses):
             while rem_supply[start] > 0 and not dead[start]:
                 parent_opt: dict[int, int] = {}
-                parent_cls: dict[int, int] = {}
-                queue = deque([start])
-                seen_cls = {start}
+                parent_cls: dict[int, int] = {}  # every class the search reached
+                queue = deque([-1])  # full options in discovery order; -1 walks the start class
                 goal = -1
                 while queue and goal < 0:
-                    ci = queue.popleft()
-                    for opt in frac_opts[ci]:
-                        if opt in parent_opt or opt in extra[ci]:
+                    via = queue.popleft()
+                    for ci in holders[via] if via >= 0 else (start,):
+                        if ci in parent_cls or dead[ci]:
                             continue
-                        parent_opt[opt] = ci
-                        if tally[opt] < cap[opt]:
-                            goal = opt
+                        parent_cls[ci] = via
+                        for opt in frac_opts[ci]:
+                            if opt in parent_opt or opt in extra[ci]:
+                                continue
+                            parent_opt[opt] = ci
+                            if tally[opt] < cap[opt]:
+                                goal = opt
+                                break
+                            queue.append(opt)
+                        if goal >= 0:
                             break
-                        for other in holders[opt]:
-                            if other not in seen_cls and not dead[other]:
-                                seen_cls.add(other)
-                                parent_cls[other] = opt
-                                queue.append(other)
                 if goal < 0:
                     if not phase_one:
                         raise StepInfeasibleError("no augmenting path; corrupted state")
-                    for ci in seen_cls:
+                    for ci in parent_cls:
                         dead[ci] = True
                     continue
                 tally[goal] += 1

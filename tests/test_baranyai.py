@@ -1,12 +1,24 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
-from locarray import CapExceededError, Shape, VType, build_optimal_type, realize
+from locarray import (
+    ALL_VARIANTS,
+    CapExceededError,
+    Shape,
+    VType,
+    build_optimal_type,
+    build_variant_type,
+    realize,
+)
 from locarray.baranyai import (
+    Cell,
+    ClassNode,
     RealizationState,
+    StepInfeasibleError,
+    StepNetwork,
     advance,
     build_step_network,
     check_realization,
@@ -167,6 +179,101 @@ class TestStepAssignmentAgainstBruteForce:
                 ours = step_choice_vector(state)
                 assert ours in valid
                 state = advance(state)
+
+
+class TestStepAssignmentAgainstReference:
+    """The rounding makes the same choices as the class-queue search it replaced."""
+
+    @staticmethod
+    def assert_same_choices(t):
+        state = init_realization(t)
+        for _ in range(t.n):
+            net = build_step_network(state)
+            assert integral_step_assignment(net) == reference_step_assignment(net), (t, state.tau)
+            state = advance(state)
+
+    def test_every_variant_up_to_twelve_points(self):
+        for n in range(1, 13):
+            for variant in ALL_VARIANTS:
+                for v in range(2, variant.max_symbols(n) + 1):
+                    self.assert_same_choices(build_variant_type(n, v, variant))
+
+    def test_sixteen_points(self):
+        for v in (3, 4):
+            self.assert_same_choices(build_variant_type(16, v))
+
+    def test_random_types(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            self.assert_same_choices(random_admissible_type(rng))
+
+    def test_random_networks(self):
+        # hand-built networks: each class splits den units per group among its
+        # arcs and the skip, and some numerators are off by one, so each of the
+        # four errors occurs; both roundings give the same choices or error
+        def outcome(rounding, net):
+            try:
+                return rounding(net)
+            except StepInfeasibleError as err:
+                return str(err)
+
+        rng = random.Random(31)
+        outcomes = Counter()
+        for _ in range(3000):
+            den, ncells = rng.randint(1, 5), rng.randint(0, 5)
+            lows = [rng.randint(-1, 2) for _ in range(ncells)]
+            cells = tuple(Cell(ci, lo, lo + rng.randint(0, 4)) for ci, lo in enumerate(lows))
+            classes, first = [], 0
+            for _ in range(rng.randint(1, 6)):
+                size = rng.randint(1, 3)
+                targets = sorted(rng.sample(range(ncells), rng.randint(0, ncells)))
+                cuts = sorted(rng.randint(0, den * size) for _ in targets)
+                arcs = tuple((ci, hi - lo + rng.choice((-1, 0, 0, 0, 0, 0, 0, 1)), pos)
+                             for pos, (ci, lo, hi) in enumerate(zip(targets, [0, *cuts], cuts)))
+                skip_numerator = den * size - (cuts[-1] if cuts else 0)
+                classes.append(ClassNode(tuple(range(first, first + size)), arcs, skip_numerator))
+                first += size
+            net = StepNetwork(0, den, cells, tuple(classes))
+            got = outcome(integral_step_assignment, net)
+            assert got == outcome(reference_step_assignment, net), net
+            outcomes["choices" if isinstance(got, tuple) else got] += 1
+        assert len(outcomes) == 5, outcomes  # the choices and each of the four errors
+
+
+def single_class_network(den, cells, arcs, skip_numerator=0, members=(0,)):
+    return StepNetwork(0, den, tuple(Cell(ci, low, high) for ci, (low, high) in enumerate(cells)),
+                       (ClassNode(members, arcs, skip_numerator),))
+
+
+class TestStepInfeasible:
+    """Networks no realization state produces, one for each way the rounding gives up."""
+
+    def test_floor_oversubscribes_a_cell(self):
+        # the whole unit is forced onto a cell that may take none
+        net = single_class_network(2, [(0, 0)], ((0, 2, 0),))
+        with pytest.raises(StepInfeasibleError, match="floor assignment oversubscribed"):
+            integral_step_assignment(net)
+
+    def test_no_augmenting_path_in_phase_two(self):
+        # half a unit toward each of two cells, both already at their upper bound
+        net = single_class_network(2, [(0, 0), (0, 0)], ((0, 1, 0), (1, 1, 1)))
+        with pytest.raises(StepInfeasibleError, match="no augmenting path"):
+            integral_step_assignment(net)
+
+    def test_cell_below_its_lower_bound(self):
+        # the cell needs one block, but the only group skips
+        net = single_class_network(2, [(1, 1)], (), skip_numerator=2)
+        with pytest.raises(StepInfeasibleError, match="below its lower bound"):
+            integral_step_assignment(net)
+
+    @pytest.mark.parametrize("members, first_numerator", [((0,), 4), ((0, 1), 6)])
+    def test_class_options_do_not_cover_its_groups(self, members, first_numerator):
+        # a negative numerator floors to minus one unit, so the units the class
+        # is counted for and the options it lists disagree
+        net = single_class_network(2, [(0, first_numerator // 2), (-1, 0)],
+                                   ((0, first_numerator, 0), (1, -2, 1)), members=members)
+        with pytest.raises(StepInfeasibleError, match="does not cover its groups"):
+            integral_step_assignment(net)
 
 
 class TestRealize:
@@ -330,3 +437,89 @@ def brute_force_choices(state):
         if completable and all(lo <= tally[key] <= hi for key, (lo, hi) in bounds.items()):
             valid.append(combo)
     return valid
+
+
+def reference_step_assignment(net):
+    """The rounding as it was with a search that queues classes, kept to compare choices."""
+    den, ncells, nclasses = net.den, len(net.cells), len(net.classes)
+    skip = ncells
+
+    base, frac_opts, rem_supply = [], [], []
+    tally = [0] * (ncells + 1)
+    for cls in net.classes:
+        z, opts = {}, []
+        for opt, num in [(ci, num) for ci, num, _pos in cls.arcs] + [(skip, cls.skip_numerator)]:
+            q, r = divmod(num, den)
+            if q:
+                z[opt] = q
+                tally[opt] += q
+            if r:
+                opts.append(opt)
+        base.append(z)
+        frac_opts.append(opts)
+        rem_supply.append(len(cls.members) - sum(z.values()))
+
+    low = [c.low for c in net.cells] + [0]
+    high = [c.high for c in net.cells] + [sum(len(cls.members) for cls in net.classes)]
+    if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
+        raise StepInfeasibleError("floor assignment oversubscribed a node")
+
+    extra = [set() for _ in range(nclasses)]
+    holders = [[] for _ in range(ncells + 1)]
+    for cap, phase_one in ((low, True), (high, False)):
+        dead = [False] * nclasses
+        for start in range(nclasses):
+            while rem_supply[start] > 0 and not dead[start]:
+                parent_opt, parent_cls = {}, {}
+                queue = deque([start])
+                seen_cls = {start}
+                goal = -1
+                while queue and goal < 0:
+                    ci = queue.popleft()
+                    for opt in frac_opts[ci]:
+                        if opt in parent_opt or opt in extra[ci]:
+                            continue
+                        parent_opt[opt] = ci
+                        if tally[opt] < cap[opt]:
+                            goal = opt
+                            break
+                        for other in holders[opt]:
+                            if other not in seen_cls and not dead[other]:
+                                seen_cls.add(other)
+                                parent_cls[other] = opt
+                                queue.append(other)
+                if goal < 0:
+                    if not phase_one:
+                        raise StepInfeasibleError("no augmenting path; corrupted state")
+                    for ci in seen_cls:
+                        dead[ci] = True
+                    continue
+                tally[goal] += 1
+                rem_supply[start] -= 1
+                opt = goal
+                while True:
+                    ci = parent_opt[opt]
+                    extra[ci].add(opt)
+                    holders[opt].append(ci)
+                    if ci == start:
+                        break
+                    prev = parent_cls[ci]
+                    extra[ci].remove(prev)
+                    holders[prev].remove(ci)
+                    opt = prev
+
+    if any(t < lo for t, lo in zip(tally, low)):
+        raise StepInfeasibleError("a cell stays below its lower bound after assignment")
+
+    choices = [None] * high[skip]
+    for ci, cls in enumerate(net.classes):
+        counts = dict(base[ci])
+        for opt in extra[ci]:
+            counts[opt] = counts.get(opt, 0) + 1
+        opts = [opt for opt in sorted(counts) for _ in range(counts[opt])]
+        if len(opts) != len(cls.members):
+            raise StepInfeasibleError("class assignment does not cover its groups")
+        pos_of = {cell_i: pos for cell_i, _num, pos in cls.arcs}
+        for gi, opt in zip(cls.members, opts):
+            choices[gi] = pos_of.get(opt)
+    return tuple(choices)
