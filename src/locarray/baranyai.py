@@ -13,13 +13,18 @@ aggregated arc exists because the constraint matrix is a network matrix. It is
 found by flooring and routing the leftovers along augmenting paths: to cells
 below their lower bound first, then to any option below its upper bound.
 
-Determinism contract: elements are placed in increasing order; group classes
-are processed in lexicographic order of their encoded state; within a class,
-cells are served in index order with skips last and member groups in index
-order. A leftover unit's breadth-first search scans its own class's options
-in that order, then full options in discovery order and each option's holders
-in the order they took it; this reaches classes in the order of a search that
-queues classes, and finds the same paths.
+The state holds one run of consecutive, identical groups per class of groups
+with the same slot multiset, and runs only split: each group gets an element
+in at most one block, so different multisets stay different, and a class
+serves its members in index order, so those taking one option stay a run.
+
+Determinism contract: elements are placed in increasing order; classes are
+processed in order of their sorted slots; within a class, cells are served in
+index order with skips last and member groups in index order. A leftover
+unit's breadth-first search scans its own class's options in that order, then
+full options in discovery order and each option's holders in the order they
+took it; this reaches classes in the order of a search that queues classes,
+and finds the same paths.
 """
 
 from __future__ import annotations
@@ -98,11 +103,19 @@ def slot_increments(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 class RealizationState(NamedTuple):
-    """After placing elements 1..tau: per group, one slot int per block, in shape order."""
+    """After placing elements 1..tau: runs (slots, first, count), ordered by sorted slots.
+
+    Groups first to first + count - 1 each hold slots: one int per block, in shape order."""
 
     n: int
     tau: int
-    groups: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[tuple[int, ...], int, int], ...]
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Per group, in index order, its slots: a view for readers; the engine never reads it."""
+        return tuple(slots for slots, _first, count in sorted(self.runs, key=lambda run: run[1])
+                     for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -128,13 +141,13 @@ class Cell(NamedTuple):
 
 
 class ClassNode(NamedTuple):
-    """Groups with identical slot multisets, merged for the step solve.
+    """Groups with identical slot multisets, merged for the step solve: one run.
 
-    arcs holds (cell index, numerator, block position); the fractional flow on
-    an arc is numerator / denominator.
+    arcs holds (cell index, numerator, block position) in cell order; the
+    fractional flow on an arc is numerator / denominator.
     """
 
-    members: tuple[int, ...]
+    members: range
     arcs: tuple[tuple[int, int, int], ...]
     skip_numerator: int
 
@@ -152,9 +165,11 @@ def init_realization(t: VType) -> RealizationState:
     make_full is the admissibility gate; the padding that would complete the
     powerset stays implicit as the slack of the counting invariant.
     """
-    # the slot of an empty block is its target
-    groups = tuple(shape.entries for shape, count in make_full(t).items() for _ in range(count))
-    return RealizationState(t.n, 0, groups)
+    runs, first = [], 0
+    for shape, count in make_full(t).items():
+        runs.append((shape.entries, first, count))  # the slot of an empty block is its target
+        first += count
+    return RealizationState(t.n, 0, tuple(sorted(runs)))
 
 
 def check_realization(state: RealizationState) -> RealizationCheck:
@@ -164,7 +179,9 @@ def check_realization(state: RealizationState) -> RealizationCheck:
     times, and at most zero times if the block holds an element outside 1..tau.
     """
     n, tau = state.n, state.tau
-    counts = Counter(s for slots in state.groups for s in slots)
+    counts: Counter[int] = Counter()
+    for slots, _first, count in state.runs:
+        counts.update({s: count * slots.count(s) for s in slots})
     for s, observed in sorted(counts.items()):
         blk, m = decode_slot(n, s)
         expected = binomial(n - tau, m - len(blk)) if all(1 <= e <= tau for e in blk) else 0
@@ -185,86 +202,68 @@ def build_step_network(state: RealizationState) -> StepNetwork:
         raise ValueError("realization is already complete")
     den, base = n - tau, n + 1
 
-    by_key: dict[tuple[int, ...], list[int]] = {}
-    for gi, slots in enumerate(state.groups):
-        by_key.setdefault(tuple(sorted(slots)), []).append(gi)
-
-    open_counts: dict[int, int] = {}
-    for key, members in by_key.items():
-        for s in key:
-            if s % base > s // base % base:  # target above size: the block is open
-                open_counts[s] = open_counts.get(s, 0) + len(members)
+    counts: dict[int, int] = {}
+    for slots, _first, count in state.runs:
+        for s in slots:
+            counts[s] = counts.get(s, 0) + count
     choose = [binomial(den - 1, j) for j in range(n + 1)]
     cells: list[Cell] = []
-    for s in sorted(open_counts):
+    open_cell: dict[int, tuple[int, int]] = {}  # slot -> (cell index, elements it still needs)
+    for s in sorted(counts):
         need = s % base - s // base % base
-        low = open_counts[s] - choose[need]
-        high = choose[need - 1]
-        if low > high:
-            raise ValueError("not a realization state: a cell holds more blocks than it may")
-        cells.append(Cell(s, low, high))
-    cell_index = {c.slot: ci for ci, c in enumerate(cells)}
-
+        if need > 0:  # target above size: the block is open
+            low, high = counts[s] - choose[need], choose[need - 1]
+            if low > high:
+                raise ValueError("not a realization state: a cell holds more blocks than it may")
+            open_cell[s] = (len(cells), need)
+            cells.append(Cell(s, low, high))
     classes: list[ClassNode] = []
-    for key in sorted(by_key):
-        members = by_key[key]
-        nmem = len(members)
-        rep = state.groups[members[0]]
+    for slots, first, count in state.runs:
         arcs = []
-        for i, s in enumerate(key):
-            ci = cell_index.get(s)
-            if ci is not None and (i == 0 or key[i - 1] != s):  # one arc per distinct open slot
-                arcs.append((ci, nmem * key.count(s) * (s % base - s // base % base), rep.index(s)))
-        skip_num = nmem * den - sum([num for _ci, num, _pos in arcs])
+        for s in sorted(set(slots)):  # one arc per distinct open slot, in cell order
+            if s in open_cell:
+                ci, need = open_cell[s]
+                arcs.append((ci, count * slots.count(s) * need, slots.index(s)))
+        skip_num = count * den - sum([num for _ci, num, _pos in arcs])
         if skip_num < 0:
             raise ValueError("not a realization state: open slots exceed remaining elements")
-        classes.append(ClassNode(tuple(members), tuple(arcs), skip_num))
+        classes.append(ClassNode(range(first, first + count), tuple(arcs), skip_num))
     return StepNetwork(tau, den, tuple(cells), tuple(classes))
 
 
-def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
-    """Pick, for every group, the block that receives the next element (None = skip).
+def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, int], ...], ...]:
+    """Per class, (block position, count) pairs: how many of its groups take each option.
 
-    Floors the fractional flow on every aggregated arc, then routes the
-    leftover units along augmenting paths over the arcs that carry a
-    fractional part: first to cells below their lower bound, then to any
-    option below its upper bound (skipping has none). Each search scans the
-    start class's options in arc order, queues the full ones in discovery
-    order, and walks an option's holders, in the order they took it, only when
-    it dequeues that option; this finds the same paths as a search that queues
-    classes. The result keeps every cell within its bounds and stays within
-    one unit of the fractional flow on each aggregated arc.
+    Pairs come in option order (the class's cells in arc order, then skipping
+    as position None), positive counts only. Floors the fractional flow on
+    every aggregated arc, then routes the leftover units along augmenting
+    paths over the arcs that carry a fractional part: first to cells below
+    their lower bound, then to any option below its upper bound (skipping has
+    none); an option's holders are walked only when the search dequeues it.
+    The result keeps every cell within its bounds and stays within one unit
+    of the fractional flow on each aggregated arc.
     """
     den, ncells, nclasses = net.den, len(net.cells), len(net.classes)
     skip = ncells  # option index for skipping
 
-    base: list[dict[int, int]] = []
-    frac_opts: list[list[int]] = []
+    frac_opts: list[tuple[int, ...]] = []
     rem_supply: list[int] = []
     tally = [0] * (ncells + 1)  # units each option receives so far
-
     for cls in net.classes:
-        z: dict[int, int] = {}
-        opts: list[int] = []
-        for opt, num in [(ci, num) for ci, num, _pos in cls.arcs] + [(skip, cls.skip_numerator)]:
-            q, r = divmod(num, den)
-            if q:
-                z[opt] = q
-                tally[opt] += q
-            if r:
-                opts.append(opt)
-        base.append(z)
-        frac_opts.append(opts)
-        rem_supply.append(len(cls.members) - sum(z.values()))
+        options = (*cls.arcs, (skip, cls.skip_numerator, None))
+        for opt, num, _pos in options:
+            tally[opt] += num // den
+        frac_opts.append(tuple([opt for opt, num, _pos in options if num % den]))
+        rem_supply.append(len(cls.members) - sum([num // den for _opt, num, _pos in options]))
 
     low = [c.low for c in net.cells] + [0]
     high = [c.high for c in net.cells] + [sum(len(cls.members) for cls in net.classes)]
     if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
-    # one extra unit may ride on each fractional arc
-    extra: list[set[int]] = [set() for _ in range(nclasses)]
-    holders: list[list[int]] = [[] for _ in range(ncells + 1)]
+    # one extra unit may ride on each fractional arc; only classes on a path get an entry
+    extra: dict[int, tuple[int, ...]] = {}
+    holders: dict[int, list[int]] = {}
 
     # Phase 1 meets the lower bounds. When a search fails, no class it saw can
     # reach a cell below its lower bound, now or after later augmentations, so
@@ -279,12 +278,13 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
                 goal = -1
                 while queue and goal < 0:
                     via = queue.popleft()
-                    for ci in holders[via] if via >= 0 else (start,):
+                    for ci in holders.get(via, ()) if via >= 0 else (start,):
                         if ci in parent_cls or dead[ci]:
                             continue
                         parent_cls[ci] = via
+                        ex = extra.get(ci, ())
                         for opt in frac_opts[ci]:
-                            if opt in parent_opt or opt in extra[ci]:
+                            if opt in parent_opt or opt in ex:
                                 continue
                             parent_opt[opt] = ci
                             if tally[opt] < cap[opt]:
@@ -304,45 +304,45 @@ def integral_step_assignment(net: StepNetwork) -> tuple[int | None, ...]:
                 opt = goal
                 while True:
                     ci = parent_opt[opt]
-                    extra[ci].add(opt)
-                    holders[opt].append(ci)
+                    extra[ci] = extra.get(ci, ()) + (opt,)
+                    holders.setdefault(opt, []).append(ci)
                     if ci == start:
                         break
                     prev = parent_cls[ci]
-                    extra[ci].remove(prev)
+                    extra[ci] = tuple([o for o in extra[ci] if o != prev])
                     holders[prev].remove(ci)
                     opt = prev
 
     if any(t < lo for t, lo in zip(tally, low)):
         raise StepInfeasibleError("a cell stays below its lower bound after assignment")
 
-    choices: list[int | None] = [None] * high[skip]  # the skip bound counts every group
+    result = []
     for ci, cls in enumerate(net.classes):
-        counts = dict(base[ci])
-        for opt in extra[ci]:
-            counts[opt] = counts.get(opt, 0) + 1
-        opts = [opt for opt in sorted(counts) for _ in range(counts[opt])]
-        if len(opts) != len(cls.members):
+        ex = extra.get(ci, ())
+        pairs = tuple([(pos, c) for opt, num, pos in (*cls.arcs, (skip, cls.skip_numerator, None))
+                       if (c := num // den + (opt in ex)) > 0])
+        if sum([c for _pos, c in pairs]) != len(cls.members):
             raise StepInfeasibleError("class assignment does not cover its groups")
-        pos_of = {cell_i: pos for cell_i, _num, pos in cls.arcs}  # skipping has none
-        for gi, opt in zip(cls.members, opts):
-            choices[gi] = pos_of.get(opt)
-    return tuple(choices)
+        result.append(pairs)
+    return tuple(result)
 
 
 def advance(state: RealizationState) -> RealizationState:
-    """Place element tau + 1 and return the next state."""
-    net = build_step_network(state)
-    choice = integral_step_assignment(net)
+    """Place element tau + 1: each run splits into one run per option its class took."""
+    assignment = integral_step_assignment(build_step_network(state))
     n, elem = state.n, state.tau + 1
     base, inc = n + 1, slot_increments(n)[elem]
-    groups = list(state.groups)
-    for gi, pos in enumerate(choice):
-        if pos is not None:
-            slots = groups[gi]
-            s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
-            groups[gi] = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
-    return RealizationState(n, elem, tuple(groups))
+    runs = []
+    for (slots, first, _count), pairs in zip(state.runs, assignment):
+        for pos, count in pairs:
+            child = slots
+            if pos is not None:
+                s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
+                child = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
+            runs.append((child, first, count))
+            first += count
+    runs.sort(key=lambda run: sorted(run[0]))
+    return RealizationState(n, elem, tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -375,11 +375,11 @@ def realize(t: VType, include_fill: bool = False,
     state = init_realization(t)
     for _ in range(n):
         state = advance(state)
-    base = n + 1
-    if any(s % base != s // base % base for slots in state.groups for s in slots):
-        raise StepInfeasibleError("internal: a block missed its target size")
-    spreads = [Spread(tuple(decode_slot(n, s)[0] for s in slots), "requested")
-               for slots in state.groups]
+    base, spreads = n + 1, []
+    for slots, _first, count in sorted(state.runs, key=lambda run: run[1]):
+        if any(s % base != s // base % base for s in slots):
+            raise StepInfeasibleError("internal: a block missed its target size")
+        spreads += [Spread(tuple(decode_slot(n, s)[0] for s in slots), "requested")] * count
     if include_fill:
         used = {blk for sp in spreads for blk in sp.blocks}
         spreads += [Spread((blk,), "fill") for size in range(n + 1)

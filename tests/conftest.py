@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite: seeded random generators for arrays and types."""
+"""Shared helpers for the test suite: seeded random generators for arrays and types,
+and hand-built realization states."""
 
 import random
 
 from locarray import Shape, TestArray, VType
+from locarray.baranyai import RealizationState
 from locarray.combinatorics import binomial
 
 
@@ -35,3 +37,8 @@ def random_admissible_type(rng: random.Random, min_n=2, max_n=10) -> VType:
     if not shapes:
         shapes[Shape((n,))] = 1
     return VType(n, v, shapes)
+
+
+def state_of_groups(n, tau, groups) -> RealizationState:
+    """A hand-built realization state: one run of one group per given slot tuple, in index order."""
+    return RealizationState(n, tau, tuple((slots, gi, 1) for gi, slots in enumerate(groups)))

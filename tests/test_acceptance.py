@@ -81,6 +81,7 @@ SWEEP_SHA256 = {
 LARGE_SHA256 = {
     (16, 3): "b2f86771ce37b44fd9f35ef921b28403852930e3779045dfbe8f60ab22272a77",
     (14, 2): "a13c86ee762f7858c2be03828bd54680fb5ddd57b9b4df2966093e83fc299dbe",
+    (16, 2): "b652f7595ebba784d6a9464a9287706f8479a2ae1ce9f6e1c1606f73b997cf10",
 }
 
 

@@ -29,7 +29,7 @@ from locarray.baranyai import (
 )
 from locarray.combinatorics import binomial
 from locarray.spread_types import InadmissibleTypeError, make_full
-from conftest import random_admissible_type
+from conftest import random_admissible_type, state_of_groups
 
 
 def pair_type(n=2):
@@ -95,7 +95,7 @@ class TestAdvance:
         # so integral fractional values are forced exactly
         state = init_realization(build_optimal_type(3, 2))
         net = build_step_network(state)
-        choice = integral_step_assignment(net)
+        choice = expand_choices(net, integral_step_assignment(net))
         counts = class_option_counts(state, net, choice)
         for ci, cls in enumerate(net.classes):
             for cell_i, num, _pos in cls.arcs:
@@ -124,6 +124,37 @@ class TestAdvance:
             advance(state)
 
 
+class TestRunInvariant:
+    """The state is runs of identical groups: they tile the group indices and only split."""
+
+    @staticmethod
+    def assert_runs_hold(t):
+        state = init_realization(t)
+        while True:
+            spans = sorted((first, count) for _slots, first, count in state.runs)
+            end = 0
+            for first, count in spans:
+                assert first == end and count > 0, (t, state.tau)
+                end += count
+            assert end == t.size(), (t, state.tau)
+            keys = [sorted(slots) for slots, _first, _count in state.runs]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (t, state.tau)
+            assert check_realization(state), (t, state.tau)
+            if state.tau == t.n:
+                break
+            state = advance(state)
+
+    def test_every_variant_up_to_twelve_points(self):
+        for n in range(1, 13):
+            for variant in ALL_VARIANTS:
+                for v in range(2, variant.max_symbols(n) + 1):
+                    self.assert_runs_hold(build_variant_type(n, v, variant))
+
+    def test_sixteen_points(self):
+        for v in (2, 3):
+            self.assert_runs_hold(build_variant_type(16, v))
+
+
 class TestCheckRealization:
     def test_mutated_block_is_caught(self):
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
@@ -134,19 +165,27 @@ class TestCheckRealization:
         blocks[0] = (2,) if blocks[0] != (2,) else (3,)
         groups = list(state.groups)
         groups[0] = group(state.n, blocks, targets)
-        verdict = check_realization(RealizationState(state.n, state.tau, tuple(groups)))
+        verdict = check_realization(state_of_groups(state.n, state.tau, groups))
         assert not verdict
         assert verdict.block == blocks[0]
         assert verdict.observed > verdict.expected == 0
         # over-counts: a repeated group, and at tau = 0 two (0, 4) shapes on 4 points
-        doubled = RealizationState(state.n, state.tau, state.groups * 2)
+        doubled = state_of_groups(state.n, state.tau, state.groups * 2)
         verdict = check_realization(doubled)
         assert not verdict
         assert verdict.observed == verdict.expected + 1 == 2
         empty = group(4, ((), ()), (0, 4))
-        verdict = check_realization(RealizationState(4, 0, (empty, empty)))
+        verdict = check_realization(state_of_groups(4, 0, (empty, empty)))
         assert not verdict
         assert (verdict.block, verdict.observed, verdict.expected) == ((), 2, 1)
+
+    def test_a_run_counts_each_of_its_groups(self):
+        # one run of two identical groups over-counts as the two groups listed apart do
+        state = advance(init_realization(VType(3, 2, {Shape((1, 2)): 1})))
+        ((slots, _first, _count),) = state.runs
+        verdict = check_realization(RealizationState(state.n, state.tau, ((slots, 0, 2),)))
+        assert not verdict
+        assert verdict == check_realization(state_of_groups(state.n, state.tau, (slots, slots)))
 
     def test_final_state_counts(self):
         t = build_optimal_type(4, 2)
@@ -189,7 +228,8 @@ class TestStepAssignmentAgainstReference:
         state = init_realization(t)
         for _ in range(t.n):
             net = build_step_network(state)
-            assert integral_step_assignment(net) == reference_step_assignment(net), (t, state.tau)
+            got = expand_choices(net, integral_step_assignment(net))
+            assert got == reference_step_assignment(net), (t, state.tau)
             state = advance(state)
 
     def test_every_variant_up_to_twelve_points(self):
@@ -231,16 +271,16 @@ class TestStepAssignmentAgainstReference:
                 arcs = tuple((ci, hi - lo + rng.choice((-1, 0, 0, 0, 0, 0, 0, 1)), pos)
                              for pos, (ci, lo, hi) in enumerate(zip(targets, [0, *cuts], cuts)))
                 skip_numerator = den * size - (cuts[-1] if cuts else 0)
-                classes.append(ClassNode(tuple(range(first, first + size)), arcs, skip_numerator))
+                classes.append(ClassNode(range(first, first + size), arcs, skip_numerator))
                 first += size
             net = StepNetwork(0, den, cells, tuple(classes))
-            got = outcome(integral_step_assignment, net)
+            got = outcome(lambda net: expand_choices(net, integral_step_assignment(net)), net)
             assert got == outcome(reference_step_assignment, net), net
             outcomes["choices" if isinstance(got, tuple) else got] += 1
         assert len(outcomes) == 5, outcomes  # the choices and each of the four errors
 
 
-def single_class_network(den, cells, arcs, skip_numerator=0, members=(0,)):
+def single_class_network(den, cells, arcs, skip_numerator=0, members=range(1)):
     return StepNetwork(0, den, tuple(Cell(ci, low, high) for ci, (low, high) in enumerate(cells)),
                        (ClassNode(members, arcs, skip_numerator),))
 
@@ -266,7 +306,7 @@ class TestStepInfeasible:
         with pytest.raises(StepInfeasibleError, match="below its lower bound"):
             integral_step_assignment(net)
 
-    @pytest.mark.parametrize("members, first_numerator", [((0,), 4), ((0, 1), 6)])
+    @pytest.mark.parametrize("members, first_numerator", [(range(1), 4), (range(2), 6)])
     def test_class_options_do_not_cover_its_groups(self, members, first_numerator):
         # a negative numerator floors to minus one unit, so the units the class
         # is counted for and the options it lists disagree
@@ -384,7 +424,22 @@ class TestRealize:
 
 
 def step_choice_vector(state):
-    return integral_step_assignment(build_step_network(state))
+    net = build_step_network(state)
+    return expand_choices(net, integral_step_assignment(net))
+
+
+def expand_choices(net, assignment):
+    """The per-group choice vector of a per-class assignment.
+
+    A class's members, in index order, take its options in the order listed,
+    each option as many times as its count.
+    """
+    choices = [None] * sum(len(cls.members) for cls in net.classes)
+    for cls, pairs in zip(net.classes, assignment, strict=True):
+        opts = [pos for pos, count in pairs for _ in range(count)]
+        for gi, pos in zip(cls.members, opts, strict=True):
+            choices[gi] = pos
+    return tuple(choices)
 
 
 def class_option_counts(state, net, choice):

@@ -1,5 +1,6 @@
 from locarray import build_optimal_type, selfcheck
-from locarray.baranyai import RealizationState, advance, decode_slot, encode_slot
+from locarray.baranyai import advance, decode_slot, encode_slot
+from conftest import state_of_groups
 
 
 def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
@@ -16,7 +17,7 @@ def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
                 if len(blk) >= 2:
                     reversed_slot = encode_slot(state.n, blk[::-1], m)
                     groups[gi] = slots[:pos] + (reversed_slot,) + slots[pos + 1:]
-                    return RealizationState(state.n, state.tau, tuple(groups))
+                    return state_of_groups(state.n, state.tau, groups)
         raise AssertionError("no block with two elements")
 
     monkeypatch.setattr(selfcheck, "advance", reversing_advance)
