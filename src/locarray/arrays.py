@@ -57,6 +57,11 @@ class TestArray:
     def k(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
+    @property
+    def too_many_symbols(self) -> bool:
+        """v > n + 1, above every variant's max_symbols: each column has 2+ empty classes."""
+        return self.v > self.n_rows + 1
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -75,13 +80,23 @@ def _class_forms(arr: TestArray) -> tuple[list[list[int]], list[list[int]]]:
 
     By column: per column, its v classes as row bitmasks (bit r-1 of class s is
     set when row r shows s). By row, the transpose: per row and symbol s, the
-    bitmask of the columns that show s in that row.
+    bitmask of the columns that show s in that row. With too many symbols, each
+    column's symbols above n + 1 are renumbered from n + 2, so at most 2n + 2
+    classes per column are stored: each verifier's first fault still lies in
+    column 1 by symbol n + 1, and only da11's host symbol needs its own name.
     """
-    by_column = [[0] * arr.v for _ in range(arr.k)]
+    rows, width = arr.rows, arr.v
+    if arr.too_many_symbols:
+        top = arr.n_rows + 2
+        ranks = [{x: top + i for i, x in enumerate({x for x in col if x >= top})}
+                 for col in zip(*rows)]
+        rows = [tuple(rank.get(x, x) for rank, x in zip(ranks, row)) for row in rows]
+        width = top + max(map(len, ranks), default=0)
+    by_column = [[0] * width for _ in range(arr.k)]
     by_row = []
-    for r, row in enumerate(arr.rows):
+    for r, row in enumerate(rows):
         bit = 1 << r
-        columns = [0] * arr.v
+        columns = [0] * width
         for c, (classes, s) in enumerate(zip(by_column, row)):
             classes[s] |= bit
             columns[s] |= 1 << c
@@ -122,7 +137,7 @@ def verify_ca2(arr: TestArray) -> Verdict:
         gaps = []
         for s1, rows in enumerate(classes):
             entries = [symbols for r, symbols in enumerate(by_row) if rows >> r & 1]
-            for s2 in range(arr.v):
+            for s2 in range(len(classes)):
                 # the later columns that show s2 in no row of class (c1, s1);
                 # the lowest set bit, as a 1-based column, is the first c2
                 missed = later & ~reduce(or_, (symbols[s2] for symbols in entries), 0)
@@ -145,7 +160,7 @@ def verify_da11(arr: TestArray) -> Verdict:
         for s1, rows in enumerate(classes):
             entries = [symbols for r, symbols in enumerate(by_row) if rows >> r & 1]
             hosts = []
-            for s2 in range(arr.v):
+            for s2 in range(len(classes)):
                 # the columns that show s2 in every row of class (c1, s1), all
                 # of them when the class is empty, other than c1 itself
                 inside = everything & ~(1 << (c1 - 1)) if s2 == s1 else everything
@@ -157,6 +172,8 @@ def verify_da11(arr: TestArray) -> Verdict:
                     hosts.append(((inside & -inside).bit_length(), s2))
             if hosts:
                 c2, s2 = min(hosts)
+                if rows:  # the one symbol the host shows on the class, as the array names it
+                    s2 = arr.rows[(rows & -rows).bit_length() - 1][c2 - 1]
                 return Verdict(False, "class contained in another", ((c1, s1), (c2, s2)))
     return Verdict(True)
 
@@ -168,7 +185,6 @@ def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
     with at most one of them empty.
     """
     n = system.n
-    universe = set(range(1, n + 1))
     cols: list[list[int]] = []
     for si, sp in enumerate(system.spreads, start=1):
         blocks = sp.blocks
@@ -176,16 +192,16 @@ def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
             raise ValueError(f"spread {si} has {len(blocks)} blocks, expected {v}")
         if sum(1 for b in blocks if not b) > 1:
             raise ValueError(f"spread {si} has more than one empty block")
-        elems = [e for b in blocks for e in b]
-        if len(elems) != n or set(elems) != universe:
-            raise ValueError(f"spread {si} does not partition 1..{n}")
-        col = [0] * n
+        col = [-1] * n
         for sym, b in enumerate(sorted(blocks, key=lambda b: (len(b), b))):
             for e in b:
+                if not 1 <= e <= n or col[e - 1] >= 0:  # outside 1..n, or placed twice
+                    raise ValueError(f"spread {si} does not partition 1..{n}")
                 col[e - 1] = sym
+        if sum(map(len, blocks)) != n:  # n distinct elements of 1..n: all of them
+            raise ValueError(f"spread {si} does not partition 1..{n}")
         cols.append(col)
-    rows = tuple(tuple(col[r] for col in cols) for r in range(n))
-    return TestArray(rows, v)
+    return TestArray(tuple(zip(*cols)) if cols else ((),) * n, v)
 
 
 def generate_la(

@@ -11,7 +11,9 @@ with the same content and target), each cell total must stay within the
 bounds that keep the invariant, and an integral rounding within one unit per
 aggregated arc exists because the constraint matrix is a network matrix. It is
 found by flooring and routing the leftovers along augmenting paths: to cells
-below their lower bound first, then to any option below its upper bound.
+below their lower bound first, then to any option below its upper bound. The
+last step is forced (den = 1: each open block takes n); its network is built
+for the bound checks only, and n joins the blocks in the final decode walk.
 
 The state holds one run of consecutive, identical groups per class of groups
 with the same slot multiset, and runs only split: each group gets an element
@@ -357,6 +359,26 @@ class SpreadSystem:
     spreads: tuple[Spread, ...]
 
 
+def _finish(state: RealizationState) -> list[Spread]:
+    """At tau = n - 1, add n to every open block and decode the runs, in group order.
+
+    The last network's bounds let an open slot occur once in all and need one
+    element, and a group hold at most one; it is built for those checks only.
+    """
+    n, base, inc, spreads = state.n, state.n + 1, slot_increments(state.n)[state.n], []
+    open_slots = {cell.slot for cell in build_step_network(state).cells}
+    for slots, _first, count in sorted(state.runs, key=lambda run: run[1]):
+        blocks = []
+        for s in slots:
+            if s in open_slots:
+                s += inc[s // base % base]
+            elif s % base != s // base % base:
+                raise StepInfeasibleError("internal: a block missed its target size")
+            blocks.append(decode_slot(n, s)[0])
+        spreads += [Spread(tuple(blocks), "requested")] * count
+    return spreads
+
+
 def realize(t: VType, include_fill: bool = False,
             max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     """Build a disjoint partial spread system of the given admissible type.
@@ -364,6 +386,8 @@ def realize(t: VType, include_fill: bool = False,
     The cap on n is checked first, then admissibility (InadmissibleTypeError).
     Each requested shape becomes one spread whose block sizes match the shape
     exactly, and no block (as a set) occurs twice anywhere in the system.
+    Elements 1..n-1 go through advance; the last step builds its network for
+    the bound checks, then finishes in the walk that decodes the runs.
     Pass include_fill=True to also return one singleton padding spread for
     every subset no requested block uses, by size and then lexicographically,
     so that the blocks form the powerset. Identical inputs produce identical
@@ -373,13 +397,9 @@ def realize(t: VType, include_fill: bool = False,
     if n > max_n:
         raise CapExceededError(f"ground set size {n} exceeds the realization cap ({max_n})")
     state = init_realization(t)
-    for _ in range(n):
+    for _ in range(n - 1):
         state = advance(state)
-    base, spreads = n + 1, []
-    for slots, _first, count in sorted(state.runs, key=lambda run: run[1]):
-        if any(s % base != s // base % base for s in slots):
-            raise StepInfeasibleError("internal: a block missed its target size")
-        spreads += [Spread(tuple(decode_slot(n, s)[0] for s in slots), "requested")] * count
+    spreads = _finish(state)
     if include_fill:
         used = {blk for sp in spreads for blk in sp.blocks}
         spreads += [Spread((blk,), "fill") for size in range(n + 1)

@@ -67,6 +67,21 @@ class TestSpreadsToArray:
         with pytest.raises(ValueError):
             spreads_to_array(system, 3)
 
+    @pytest.mark.parametrize("n, blocks", [
+        (3, ((0, 1), (2, 3))),  # element 0
+        (3, ((1, 4), (2, 3))),  # element n + 1
+        (3, ((1, 1), (3,))),  # a duplicate, though the element count is n
+        (3, ((1,), (3,))),  # element 2 missing
+    ])
+    def test_blocks_that_do_not_partition_are_rejected(self, n, blocks):
+        system = SpreadSystem(n, (Spread(blocks, "requested"),))
+        with pytest.raises(ValueError, match="spread 1 does not partition 1..3"):
+            spreads_to_array(system, 2)
+
+    def test_no_spreads_give_empty_rows(self):
+        arr = spreads_to_array(SpreadSystem(3, ()), 2)
+        assert arr.rows == ((), (), ()) and arr.k == 0
+
     def test_round_trip_with_partitions(self):
         # column classes, sorted canonically, rebuild the spread blocks
         system = realize(build_optimal_type(5, 3))
@@ -184,6 +199,40 @@ class TestVerifiersAgainstRowSets:
                 outcomes[name].add(got.ok)
         # both verdicts occur, so the witnesses of failures and the passes are compared
         assert outcomes == {"ca2": {True, False}, "da11": {True, False}}
+
+
+class TestTooManySymbols:
+    """Above v = n + 1 every column has two or more empty classes; verdicts stay the scan's."""
+
+    CHECKS = [(verify_la, variant) for variant in ALL_VARIANTS] + [(verify_ca2,), (verify_da11,)]
+
+    def test_verdicts_equal_the_scan(self, monkeypatch):
+        rng = random.Random(31)
+        arrays = []
+        for _ in range(400):
+            n, k = rng.randint(1, 5), rng.randint(0, 5)
+            v = n + rng.randint(2, 4)
+            # symbols from a few low ones and the top one, so classes repeat across columns
+            rows = tuple(tuple(rng.choice((rng.randrange(3), rng.randrange(v), v - 1))
+                               for _ in range(k)) for _ in range(n))
+            arrays.append(TestArray(rows, v))
+        guarded = [[check(arr, *args) for check, *args in self.CHECKS] for arr in arrays]
+        monkeypatch.setattr(TestArray, "too_many_symbols", False)  # the scan over all v symbols
+        scanned = [[check(arr, *args) for check, *args in self.CHECKS] for arr in arrays]
+        assert guarded == scanned
+        reasons = {(check.__name__, got.reason) for row in guarded
+                   for (check, *_), got in zip(self.CHECKS, row)}
+        assert len(reasons) == 8  # each check passes and fails somewhere, la for all three reasons
+
+    def test_huge_v_returns(self):
+        for rows in (((0, 1), (1, 0)), ((5,),), ((), ()), ()):
+            arr = TestArray(rows, 10**20)
+            for check, *args in self.CHECKS:
+                check(arr, *args)
+        arr = TestArray(((0, 1), (1, 0)), 10**20)
+        assert verify_la(arr).witness == ((1, 2), (1, 3))
+        assert verify_ca2(arr).witness == ((1, 0), (2, 0))
+        assert verify_da11(arr).witness == ((1, 0), (2, 1))
 
 
 def pair_array(duplicate_last):

@@ -13,12 +13,16 @@ from locarray import (
     build_variant_type,
     realize,
 )
+from locarray import baranyai
 from locarray.baranyai import (
     Cell,
     ClassNode,
     RealizationState,
+    Spread,
+    SpreadSystem,
     StepInfeasibleError,
     StepNetwork,
+    _finish,
     advance,
     build_step_network,
     check_realization,
@@ -420,7 +424,73 @@ class TestRealize:
             assert all(sp.tag == "fill" for sp in spreads[t.size():])
 
 
+class TestFinish:
+    """realize steps n - 1 times, builds the forced last network, then adds n in its decode walk."""
+
+    @staticmethod
+    def assert_same_as_stepping(t, monkeypatch, no_skips=True):
+        nets = []
+
+        def counted(state):
+            nets.append(build_step_network(state))
+            return nets[-1]
+
+        monkeypatch.setattr(baranyai, "build_step_network", counted)
+        got = realize(t)
+        assert len(nets) == t.n, t  # one network per element, the forced last one included
+        assert got == realize_by_stepping(t), t
+        if no_skips:  # a group's needs sum to den, since its shape's sizes sum to n
+            assert all(cls.skip_numerator == 0 for net in nets for cls in net.classes), t
+
+    def test_every_variant_up_to_twelve_points(self, monkeypatch):
+        for n in range(1, 13):
+            for variant in ALL_VARIANTS:
+                for v in range(2, variant.max_symbols(n) + 1):
+                    self.assert_same_as_stepping(build_variant_type(n, v, variant), monkeypatch)
+
+    def test_sixteen_points(self, monkeypatch):
+        self.assert_same_as_stepping(build_variant_type(16, 2), monkeypatch)
+
+    def test_random_types(self, monkeypatch):
+        # shapes summing to less than n leave groups with no open block at the last step
+        rng = random.Random(29)
+        for _ in range(60):
+            self.assert_same_as_stepping(random_admissible_type(rng, max_n=9), monkeypatch, False)
+
+    def test_forced_step_of_a_small_type(self):
+        state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
+        state = advance(advance(state))
+        assert _finish(state) == [Spread(((1,), (2, 3)), "requested")]
+
+    @pytest.mark.parametrize("groups, message", [
+        # two groups share the open slot ({1}, 2)
+        ((group(3, ((1,), (2,)), (2, 1)), group(3, ((1,), ()), (2, 0))), "more blocks than"),
+        # one group holds two open blocks
+        ((group(3, ((1,), (2,)), (2, 2)),), "open slots exceed"),
+        # an open block needs two elements at tau = n - 1
+        ((group(3, ((1, 2), ()), (2, 2)),), "more blocks than"),
+    ])
+    def test_corrupted_last_state_raises(self, groups, message):
+        with pytest.raises(ValueError, match=message):
+            _finish(state_of_groups(3, 2, groups))
+
+    def test_closed_block_off_its_target_raises(self):
+        state = state_of_groups(3, 2, (group(3, ((1, 2), ()), (1, 1)),))
+        with pytest.raises(StepInfeasibleError):
+            _finish(state)
+
+
 # -- helpers ---------------------------------------------------------------
+
+
+def realize_by_stepping(t):
+    """The requested system after n full steps, each final slot decoded, groups in index order."""
+    state = init_realization(t)
+    for _ in range(t.n):
+        state = advance(state)
+    spreads = [Spread(tuple(decode_slot(t.n, s)[0] for s in slots), "requested")
+               for slots in state.groups]
+    return SpreadSystem(t.n, tuple(spreads))
 
 
 def step_choice_vector(state):
