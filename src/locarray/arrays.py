@@ -186,8 +186,7 @@ def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
     """
     n = system.n
     cols: list[list[int]] = []
-    for si, sp in enumerate(system.spreads, start=1):
-        blocks = sp.blocks
+    for si, blocks in enumerate(system.spreads, start=1):
         if len(blocks) != v:
             raise ValueError(f"spread {si} has {len(blocks)} blocks, expected {v}")
         if sum(1 for b in blocks if not b) > 1:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 from .combinatorics import binomial
@@ -42,23 +41,13 @@ from .spread_types import VType, make_full
 __all__ = [
     "DEFAULT_MAX_N",
     "CapExceededError",
-    "Cell",
-    "ClassNode",
-    "RealizationCheck",
-    "RealizationState",
-    "Spread",
     "SpreadSystem",
     "StepInfeasibleError",
-    "StepNetwork",
     "advance",
-    "build_step_network",
     "check_realization",
     "decode_slot",
-    "encode_slot",
     "init_realization",
-    "integral_step_assignment",
     "realize",
-    "slot_increments",
 ]
 
 DEFAULT_MAX_N = 16
@@ -115,7 +104,9 @@ class RealizationState(NamedTuple):
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Per group, in index order, its slots: a view for readers; the engine never reads it."""
+        """Per group, in index order, its slots: a view the engine never reads.
+
+        The benchmark's tracer reads it, so deleting it waits on a change to the benchmark."""
         return tuple(slots for slots, _first, count in sorted(self.runs, key=lambda run: run[1])
                      for _ in range(count))
 
@@ -348,18 +339,12 @@ def advance(state: RealizationState) -> RealizationState:
 
 
 @dataclass(frozen=True)
-class Spread:
-    blocks: tuple[Block, ...]
-    tag: str  # "requested", or "fill" for a padding singleton
-
-
-@dataclass(frozen=True)
 class SpreadSystem:
     n: int
-    spreads: tuple[Spread, ...]
+    spreads: tuple[tuple[Block, ...], ...]  # one tuple of blocks per spread
 
 
-def _finish(state: RealizationState) -> list[Spread]:
+def _finish(state: RealizationState) -> list[tuple[Block, ...]]:
     """At tau = n - 1, add n to every open block and decode the runs, in group order.
 
     The last network's bounds let an open slot occur once in all and need one
@@ -375,12 +360,11 @@ def _finish(state: RealizationState) -> list[Spread]:
             elif s % base != s // base % base:
                 raise StepInfeasibleError("internal: a block missed its target size")
             blocks.append(decode_slot(n, s)[0])
-        spreads += [Spread(tuple(blocks), "requested")] * count
+        spreads += [tuple(blocks)] * count
     return spreads
 
 
-def realize(t: VType, include_fill: bool = False,
-            max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
+def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     """Build a disjoint partial spread system of the given admissible type.
 
     The cap on n is checked first, then admissibility (InadmissibleTypeError).
@@ -388,10 +372,8 @@ def realize(t: VType, include_fill: bool = False,
     exactly, and no block (as a set) occurs twice anywhere in the system.
     Elements 1..n-1 go through advance; the last step builds its network for
     the bound checks, then finishes in the walk that decodes the runs.
-    Pass include_fill=True to also return one singleton padding spread for
-    every subset no requested block uses, by size and then lexicographically,
-    so that the blocks form the powerset. Identical inputs produce identical
-    systems.
+    Spreads come in the order of the type's shapes, and identical inputs
+    produce identical systems.
     """
     n = t.n
     if n > max_n:
@@ -399,9 +381,4 @@ def realize(t: VType, include_fill: bool = False,
     state = init_realization(t)
     for _ in range(n - 1):
         state = advance(state)
-    spreads = _finish(state)
-    if include_fill:
-        used = {blk for sp in spreads for blk in sp.blocks}
-        spreads += [Spread((blk,), "fill") for size in range(n + 1)
-                    for blk in combinations(range(1, n + 1), size) if blk not in used]
-    return SpreadSystem(n, tuple(spreads))
+    return SpreadSystem(n, tuple(_finish(state)))

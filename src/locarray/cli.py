@@ -77,7 +77,7 @@ def _cmd_type(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     t = parse_type(_read_input(args.type_file))
-    system = realize(t, include_fill=args.include_fill, max_n=args.cap_n)
+    system = realize(t, max_n=args.cap_n)
     _emit(format_spread_system(system, args.format), args.out)
     return EXIT_OK
 
@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="realize a type document as a spread system")
     p.add_argument("type_file", nargs="?", default="-", help="type document ('-' = stdin)")
-    p.add_argument("--include-fill", action="store_true")
     p.add_argument("--cap-n", type=int, default=DEFAULT_MAX_N)
     common(p, variant=False)
     p.set_defaults(func=_cmd_realize)

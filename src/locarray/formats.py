@@ -3,11 +3,11 @@
 Array text format: a header line "n k v" followed by n lines of k
 space-separated symbols. Type text format: "N <n>" and "v <v>" header lines,
 then one "<count> x <sizes...>" line per distinct shape. Spread-system text
-format: "N <n>" and "spreads <count>" header lines, then one line per spread
-with its tag and comma-joined blocks ("-" for the empty block). JSON mirrors
-carry the same fields. Parsers auto-detect JSON input and raise only
-ValueError on a malformed document. Table and oracle documents are written
-only.
+format: "N <n>" and "spreads <count>" header lines, then one line per spread:
+its blocks, each comma-joined ("-" for the empty block), separated by spaces.
+JSON mirrors carry the same fields; a JSON spread is a list of blocks. Parsers
+auto-detect JSON input and raise only ValueError on a malformed document.
+Table and oracle documents are written only.
 """
 
 from __future__ import annotations
@@ -104,16 +104,10 @@ def _block_text(block: tuple[int, ...]) -> str:
 
 def format_spread_system(system: SpreadSystem, fmt: str = "text") -> str:
     if fmt == "json":
-        doc = {
-            "n": system.n,
-            "spreads": [
-                {"tag": sp.tag, "blocks": [list(b) for b in sp.blocks]} for sp in system.spreads
-            ],
-        }
+        doc = {"n": system.n, "spreads": [[list(b) for b in sp] for sp in system.spreads]}
         return json.dumps(doc, indent=2) + "\n"
     lines = [f"N {system.n}", f"spreads {len(system.spreads)}"]
-    for sp in system.spreads:
-        lines.append(f"{sp.tag}: " + " ".join(_block_text(b) for b in sp.blocks))
+    lines += [" ".join(_block_text(b) for b in sp) for sp in system.spreads]
     return "\n".join(lines) + "\n"
 
 

@@ -74,12 +74,14 @@ def type_realization_failures(t: VType) -> list[str]:
                 f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
             ]
     fails = []
-    groups = [[decode_slot(n, s)[0] for s in slots] for slots in state.groups]
-    blocks = [b for g in groups for b in g]
-    distinct = len(set(blocks)) == len(blocks)
+    runs = [([decode_slot(n, s)[0] for s in slots], count) for slots, _first, count in state.runs]
+    blocks = {b for run_blocks, _count in runs for b in run_blocks}
+    distinct = len(blocks) == sum(count * len(run_blocks) for run_blocks, count in runs)
     if not distinct:
         fails.append(f"block distinctness broken at n={n}, v={v}")
-    got = Counter(tuple(sorted(len(b) for b in g)) for g in groups)
+    got: Counter[tuple[int, ...]] = Counter()
+    for run_blocks, count in runs:
+        got[tuple(sorted(map(len, run_blocks)))] += count
     if got != Counter({shape.entries: count for shape, count in t.items()}):
         fails.append(f"type fidelity broken at n={n}, v={v}")
     ground = set(range(1, n + 1))

@@ -40,23 +40,12 @@ class Shape:
             raise ValueError("a shape needs one or more nonnegative block sizes")
         object.__setattr__(self, "entries", ent)
 
-    def mu(self, x: int) -> int:
-        """Number of entries equal to x."""
-        return self.entries.count(x)
-
-    def defect(self, f: int) -> int:
-        """Total shortfall of the entries below f + 1."""
-        return sum(f + 1 - x for x in self.entries if x <= f)
-
     @property
     def total(self) -> int:
         return sum(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def __repr__(self) -> str:
         return f"Shape({list(self.entries)!r})"
@@ -238,8 +227,8 @@ def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
 def make_full(t: VType) -> VType:
     """The admissibility gate of realization: t itself, if it is admissible.
 
-    Padding t with singletons to C(n, x) slots of every size x would make it
-    full; realization keeps that padding implicit, so nothing is added."""
+    Realization never builds the padding that would raise t to C(n, x) slots
+    of every size x; it stays implicit in the counting invariant."""
     verdict = is_admissible(t)
     if not verdict:
         raise InadmissibleTypeError(verdict)

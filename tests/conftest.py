@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random generators for arrays and types,
-and hand-built realization states."""
+hand-built realization states, and the padding of a spread system."""
 
 import random
+from itertools import combinations
 
 from locarray import Shape, TestArray, VType
 from locarray.baranyai import RealizationState
@@ -30,13 +31,20 @@ def random_admissible_type(rng: random.Random, min_n=2, max_n=10) -> VType:
             entries.append(e)
             remaining -= e
         shape = Shape(tuple(entries))
-        if all(sigma[x] + shape.mu(x) <= binomial(n, x) for x in set(shape.entries)):
+        if all(sigma[x] + shape.entries.count(x) <= binomial(n, x) for x in set(shape.entries)):
             shapes[shape] = shapes.get(shape, 0) + 1
             for x in shape.entries:
                 sigma[x] += 1
     if not shapes:
         shapes[Shape((n,))] = 1
     return VType(n, v, shapes)
+
+
+def padding_blocks(system) -> list[tuple[int, ...]]:
+    """Every subset of 1..n that no block of the system uses, by size and then lexicographically."""
+    used = {blk for sp in system.spreads for blk in sp}
+    return [blk for size in range(system.n + 1)
+            for blk in combinations(range(1, system.n + 1), size) if blk not in used]
 
 
 def state_of_groups(n, tau, groups) -> RealizationState:

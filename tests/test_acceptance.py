@@ -61,21 +61,21 @@ def test_optimal_type_validity():
     _report("optimal types admissible with exact optimal size for n <= 16")
 
 
-# The documents the engine produced before its state became slot ints. Per n,
-# the sha256 over the sha256 of each document of the sweep below, in sweep
-# order: the generate_la array, then the padded realize system.
+# Per n, the sha256 over the sha256 of each document of the sweep below, in
+# sweep order: the generate_la array, then the realize system. The arrays are
+# those the engine produced before its state became slot ints.
 SWEEP_SHA256 = {
-    2: "e89ca0a81507fc7107f4f2ec4f731e2e4cd75b101e2673a2536cf02636ac5427",
-    3: "0c5a0a2ade0491710c34f4e554ba3b205b16aef312d28aafb8c175e88ce506f5",
-    4: "331a9c62ec7040aafd4ca2eb9a1316d65cb402919a6f7806751c2155e0b3f071",
-    5: "69f125fbe336d19cccb1ec8aad3de1ad0bfede1bfd38712173b8e1de6f8cdaef",
-    6: "07c2198e6b713d58aa84c24819ff2b881604c2d7f7331448f7dc1aacdced5cf1",
-    7: "42fd0a0c5fe7b434f11dd5d0ca0063c498d24f3f8aec40be6e4f6243153b2460",
-    8: "7791d379642b9075244b0c501cea69ffae47bac98ea59c51e601ce3e51c125c7",
-    9: "3b80e8b4a1ae1aba6b36d59b78469c0c448efbe2bd215e21a410187721952d5b",
-    10: "f8e43266237383fe344141b9f48940fa358feab0f8dd9a717e1e0c000fe46792",
-    11: "b51bdc5c30becb2f6255bb5ac07b37fea06fce310f8a6e8ecb1c5866f8099181",
-    12: "21d97611e23c2b16e3b9b645b10c407a46c891e7e161c75019f27c86e215d1b1",
+    2: "e576073525b33d7bfc4b986ca78ab55fb299bb349a6ffdb7dc47525b1edc20d7",
+    3: "129ae6e86ce37e4b742ae35ccce9952a4ec1c9dc9da930fac70f4402d3756ee6",
+    4: "79911be8249f8fb6e5dced3e0ff78e66aa61f3aef67f36174a4a99c8065c16ff",
+    5: "92f633925fda0256ed7b072594e78202fcc0429d285e00e01b07d8af4fab4d40",
+    6: "82c28d9c79822ac6d8d1de3825d1dd3adf8c67d1586634e719f419ba38009613",
+    7: "97ae7aec295a4355475fe09bdc5fafc368c666023acffa51b1afec5f2ede1297",
+    8: "f5b3fd32b00b31e7d33c42fd5eb1e11802d74471e324f88bab5c2dc6f6cf6b75",
+    9: "2566f25d1c94793afc6354fa8eec6d32cf60a8769eba210970f8eb7f4cdc5cf8",
+    10: "009f8bfeac1e66b0f570243c07891cdb5d819409dd01f6f7aa1ddd4b8448d6f0",
+    11: "9e116416309bc81318bb573f1bf321698605be6cd5327c2b98664c7044b4abb5",
+    12: "56231590d90583107596a7aac909f3dffc8f4d7422e5479cd513b0f40cee027d",
 }
 # sha256 of format_array(generate_la(n, v)) for the default variant.
 LARGE_SHA256 = {
@@ -101,7 +101,7 @@ def test_end_to_end_generation():
                 arr = generate_la(n, v, variant)
                 assert arr.k == k, (n, v, variant.label)
                 assert verify_la(arr, variant), (n, v, variant.label)
-                system = realize(build_variant_type(n, v, variant), include_fill=True)
+                system = realize(build_variant_type(n, v, variant))
                 for doc in (format_array(arr), format_spread_system(system)):
                     digest.update(hashlib.sha256(doc.encode()).digest())
         assert digest.hexdigest() == SWEEP_SHA256[n], n
@@ -118,11 +118,11 @@ def test_pair_partition_special_case():
     assert len(system.spreads) == 5
     seen = []
     for sp in system.spreads:
-        assert len(sp.blocks) == 3
-        assert all(len(b) == 2 for b in sp.blocks)
-        elems = [e for b in sp.blocks for e in b]
+        assert len(sp) == 3
+        assert all(len(b) == 2 for b in sp)
+        elems = [e for b in sp for e in b]
         assert sorted(elems) == [1, 2, 3, 4, 5, 6]
-        seen.extend(sp.blocks)
+        seen.extend(sp)
     assert sorted(seen) == sorted(itertools.combinations(range(1, 7), 2))
     assert time.time() - start < 1.0
     _report("all fifteen 2-subsets of a 6-set split into 5 perfect matchings")

@@ -19,7 +19,7 @@ from locarray import (
     verify_da11,
     verify_la,
 )
-from locarray.baranyai import Spread, SpreadSystem
+from locarray.baranyai import SpreadSystem
 from conftest import random_array
 
 # the canonical optimal 3x4 array on two symbols
@@ -48,22 +48,22 @@ class TestSpreadsToArray:
         assert spreads_to_array(system, 2) == ARR34
 
     def test_identity_column(self):
-        system = SpreadSystem(3, (Spread(((1,), (2,), (3,)), "requested"),))
+        system = SpreadSystem(3, (((1,), (2,), (3,)),))
         arr = spreads_to_array(system, 3)
         assert arr.rows == ((0,), (1,), (2,))
 
     def test_overlapping_blocks_rejected(self):
-        system = SpreadSystem(3, (Spread(((1, 2), (2,)), "requested"),))
+        system = SpreadSystem(3, (((1, 2), (2,)),))
         with pytest.raises(ValueError):
             spreads_to_array(system, 2)
 
     def test_wrong_block_count_rejected(self):
-        system = SpreadSystem(3, (Spread(((1, 2, 3),), "requested"),))
+        system = SpreadSystem(3, (((1, 2, 3),),))
         with pytest.raises(ValueError):
             spreads_to_array(system, 2)
 
     def test_two_empty_blocks_rejected(self):
-        system = SpreadSystem(2, (Spread(((), (), (1, 2)), "requested"),))
+        system = SpreadSystem(2, (((), (), (1, 2)),))
         with pytest.raises(ValueError):
             spreads_to_array(system, 3)
 
@@ -74,7 +74,7 @@ class TestSpreadsToArray:
         (3, ((1,), (3,))),  # element 2 missing
     ])
     def test_blocks_that_do_not_partition_are_rejected(self, n, blocks):
-        system = SpreadSystem(n, (Spread(blocks, "requested"),))
+        system = SpreadSystem(n, (blocks,))
         with pytest.raises(ValueError, match="spread 1 does not partition 1..3"):
             spreads_to_array(system, 2)
 
@@ -87,7 +87,7 @@ class TestSpreadsToArray:
         system = realize(build_optimal_type(5, 3))
         arr = spreads_to_array(system, 3)
         for sp, classes in zip(system.spreads, set_classes(arr)):
-            want = sorted(sp.blocks, key=lambda b: (len(b), b))
+            want = sorted(sp, key=lambda b: (len(b), b))
             got = sorted((tuple(sorted(cl)) for cl in classes), key=lambda b: (len(b), b))
             assert got == list(want)
 

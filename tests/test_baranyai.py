@@ -18,7 +18,6 @@ from locarray.baranyai import (
     Cell,
     ClassNode,
     RealizationState,
-    Spread,
     SpreadSystem,
     StepInfeasibleError,
     StepNetwork,
@@ -33,7 +32,7 @@ from locarray.baranyai import (
 )
 from locarray.combinatorics import binomial
 from locarray.spread_types import InadmissibleTypeError, make_full
-from conftest import random_admissible_type, state_of_groups
+from conftest import padding_blocks, random_admissible_type, state_of_groups
 
 
 def pair_type(n=2):
@@ -326,7 +325,7 @@ class TestRealize:
         assert len(system.spreads) == 3
         seen = []
         for sp in system.spreads:
-            a, b = sp.blocks
+            a, b = sp
             assert len(a) == len(b) == 2
             assert set(a) | set(b) == {1, 2, 3, 4}
             seen += [a, b]
@@ -335,7 +334,7 @@ class TestRealize:
     def test_exact_small_system(self):
         # the only system of this type up to relabeling; ours is the canonical one
         system = realize(build_optimal_type(3, 2))
-        assert [sp.blocks for sp in system.spreads] == [
+        assert list(system.spreads) == [
             ((), (1, 2, 3)),
             ((1,), (2, 3)),
             ((2,), (1, 3)),
@@ -360,19 +359,21 @@ class TestRealize:
         assert realize(t) == realize(t)
 
     def test_full_system_enumerates_the_powerset(self):
+        # distinct requested blocks, completed by the padding, are the 2^n subsets
         rng = random.Random(11)
         for _ in range(10):
             t = random_admissible_type(rng, max_n=8)
-            system = realize(t, include_fill=True)
-            blocks = [b for sp in system.spreads for b in sp.blocks]
-            assert len(blocks) == len(set(blocks)) == 2 ** t.n
+            system = realize(t)
+            blocks = [b for sp in system.spreads for b in sp]
+            assert len(blocks) == len(set(blocks))
+            assert len(blocks) + len(padding_blocks(system)) == 2 ** t.n
 
     def test_type_fidelity(self):
         rng = random.Random(13)
         for _ in range(10):
             t = random_admissible_type(rng, max_n=8)
             system = realize(t)
-            got = Counter(tuple(sorted(len(b) for b in sp.blocks)) for sp in system.spreads)
+            got = Counter(tuple(sorted(len(b) for b in sp)) for sp in system.spreads)
             want = Counter()
             for shape, count in t.items():
                 want[shape.entries] += count
@@ -383,45 +384,28 @@ class TestRealize:
         for _ in range(10):
             t = random_admissible_type(rng, max_n=8)
             for sp in realize(t).spreads:
-                elems = [e for b in sp.blocks for e in b]
+                elems = [e for b in sp for e in b]
                 assert len(elems) == len(set(elems))
 
     def test_accepts_prebuilt_full_type(self):
         full = make_full(pair_type())
-        system = realize(full, include_fill=True)
-        assert len(system.spreads) == 3
+        system = realize(full)
+        assert system.spreads == (((1,), (2,)),)
+        assert padding_blocks(system) == [(), (1, 2)]
 
     def test_fill_order(self):
-        # requested spreads first, then each unused subset once, by size then lexicographically
-        system = realize(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2}), include_fill=True)
-        assert [(sp.tag, sp.blocks) for sp in system.spreads] == [
-            ("requested", ((1,), (2, 3, 4))),
-            ("requested", ((1, 3), (2, 4))),
-            ("requested", ((1, 4), (2, 3))),
-            ("fill", ((),)),
-            ("fill", ((2,),)),
-            ("fill", ((3,),)),
-            ("fill", ((4,),)),
-            ("fill", ((1, 2),)),
-            ("fill", ((3, 4),)),
-            ("fill", ((1, 2, 3),)),
-            ("fill", ((1, 2, 4),)),
-            ("fill", ((1, 3, 4),)),
-            ("fill", ((1, 2, 3, 4),)),
-        ]
+        # only the requested spreads, in the order of the type; no padding follows
+        system = realize(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2}))
+        assert system.spreads == (
+            ((1,), (2, 3, 4)),
+            ((1, 3), (2, 4)),
+            ((1, 4), (2, 3)),
+        )
         rng = random.Random(23)
         for _ in range(10):
             t = random_admissible_type(rng, max_n=8)
-            spreads = realize(t, include_fill=True).spreads
-            assert spreads[: t.size()] == realize(t).spreads
-            fill = [sp.blocks for sp in spreads[t.size():]]
-            used = {b for sp in spreads[: t.size()] for b in sp.blocks}
-            unused = [
-                b for x in range(t.n + 1) for b in itertools.combinations(range(1, t.n + 1), x)
-                if b not in used
-            ]
-            assert fill == [(b,) for b in unused]
-            assert all(sp.tag == "fill" for sp in spreads[t.size():])
+            sizes = [tuple(sorted(map(len, sp))) for sp in realize(t).spreads]
+            assert sizes == [shape.entries for shape, count in t.items() for _ in range(count)]
 
 
 class TestFinish:
@@ -460,7 +444,7 @@ class TestFinish:
     def test_forced_step_of_a_small_type(self):
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
         state = advance(advance(state))
-        assert _finish(state) == [Spread(((1,), (2, 3)), "requested")]
+        assert _finish(state) == [((1,), (2, 3))]
 
     @pytest.mark.parametrize("groups, message", [
         # two groups share the open slot ({1}, 2)
@@ -488,9 +472,8 @@ def realize_by_stepping(t):
     state = init_realization(t)
     for _ in range(t.n):
         state = advance(state)
-    spreads = [Spread(tuple(decode_slot(t.n, s)[0] for s in slots), "requested")
-               for slots in state.groups]
-    return SpreadSystem(t.n, tuple(spreads))
+    return SpreadSystem(t.n, tuple(tuple(decode_slot(t.n, s)[0] for s in slots)
+                                   for slots in state.groups))
 
 
 def step_choice_vector(state):

@@ -83,16 +83,25 @@ class TestTypeRealizeGenerate:
         lines = out.splitlines()
         assert lines[0] == "N 4"
         assert lines[1] == "spreads 8"
-        assert all(ln.startswith("requested: ") for ln in lines[2:])
+        for ln in lines[2:]:  # two comma-joined blocks, "-" when empty, partitioning 1..4
+            blocks = [b.split(",") if b != "-" else [] for b in ln.split(" ")]
+            assert len(blocks) == 2
+            assert sorted(int(e) for b in blocks for e in b) == [1, 2, 3, 4]
 
     def test_realize_include_fill(self, tmp_path, capsys):
         type_file = tmp_path / "type.txt"
         type_file.write_text("N 4\nv 2\n1 x 2 2\n")
-        code, out, _ = run(["realize", str(type_file), "--include-fill"], capsys)
+        code, out, err = run(["realize", str(type_file), "--include-fill"], capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --include-fill" in err
+        assert "Traceback" not in err
+
+    def test_realize_json(self, tmp_path, capsys):
+        type_file = tmp_path / "type.txt"
+        type_file.write_text("N 3\nv 2\n1 x 1 2\n")
+        code, out, _ = run(["realize", str(type_file), "--format", "json"], capsys)
         assert code == 0
-        lines = out.splitlines()
-        assert lines[1] == f"spreads {1 + (2 ** 4 - 2)}"
-        assert sum(ln.startswith("fill: ") for ln in lines) == 2 ** 4 - 2
+        assert json.loads(out) == {"n": 3, "spreads": [[[1], [2, 3]]]}
 
     def test_realize_cap_exit_code(self, tmp_path, capsys):
         type_file = tmp_path / "type.txt"

@@ -1,5 +1,5 @@
 from locarray import build_optimal_type, selfcheck
-from locarray.baranyai import advance, decode_slot, encode_slot
+from locarray.baranyai import RealizationCheck, advance, decode_slot, encode_slot
 from conftest import state_of_groups
 
 
@@ -23,4 +23,23 @@ def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
     monkeypatch.setattr(selfcheck, "advance", reversing_advance)
     assert selfcheck.type_realization_failures(build_optimal_type(4, 2)) == [
         "padded system is not the powerset at n=4, v=2"
+    ]
+
+
+def test_a_run_counts_each_of_its_groups(monkeypatch):
+    # one more group in the first final run repeats its blocks and its shape;
+    # the counting invariant would report that first, so it is switched off
+    def doubling_advance(state):
+        state = advance(state)
+        if state.tau < state.n:
+            return state
+        (slots, first, count), *rest = state.runs
+        return state._replace(runs=((slots, first, count + 1), *rest))
+
+    monkeypatch.setattr(selfcheck, "advance", doubling_advance)
+    monkeypatch.setattr(selfcheck, "check_realization", lambda state: RealizationCheck(True))
+    assert selfcheck.type_realization_failures(build_optimal_type(4, 2)) == [
+        "block distinctness broken at n=4, v=2",
+        "type fidelity broken at n=4, v=2",
+        "padded system is not the powerset at n=4, v=2",
     ]

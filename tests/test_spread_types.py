@@ -21,7 +21,7 @@ from locarray import (
 )
 from locarray.combinatorics import binomial, bound_params
 from locarray.spread_types import InadmissibleTypeError, balanced_shape, make_full, offset_shape
-from conftest import random_admissible_type
+from conftest import padding_blocks, random_admissible_type
 
 
 class TestShape:
@@ -37,16 +37,6 @@ class TestShape:
         # a spread with no blocks is no column of any array
         with pytest.raises(ValueError):
             Shape(())
-
-    def test_mu(self):
-        s = Shape((2, 2, 0))
-        assert s.mu(2) == 2 and s.mu(0) == 1 and s.mu(5) == 0
-
-    def test_defect_no_short_entries(self):
-        assert Shape((3, 3, 3)).defect(2) == 0
-
-    def test_defect_hand_value(self):
-        assert Shape((0, 3, 3)).defect(2) == 3
 
     def test_ordering(self):
         assert Shape((0, 3, 3)) < Shape((1, 2, 3)) < Shape((2, 2, 2))
@@ -215,7 +205,7 @@ class TestOptimalType:
             for v in range(2, n + 2):
                 p = bound_params(n, v)
                 for shape, _ in build_optimal_type(n, v).items():
-                    assert shape.defect(p.f) >= p.d
+                    assert sum(p.f + 1 - x for x in shape.entries if x <= p.f) >= p.d
 
     def test_random_admissible_types_never_beat_the_bound(self):
         # greedy randomized packing of v-shapes summing to n stays within the bound
@@ -233,7 +223,8 @@ class TestOptimalType:
                     remaining -= e
                 entries.append(remaining)
                 shape = Shape(tuple(entries))
-                if all(sigma[x] + shape.mu(x) <= binomial(n, x) for x in set(shape.entries)):
+                if all(sigma[x] + shape.entries.count(x) <= binomial(n, x)
+                       for x in set(shape.entries)):
                     count += 1
                     for x in shape.entries:
                         sigma[x] += 1
@@ -324,9 +315,8 @@ class TestVariantType:
 
 
 def fill_blocks(t):
-    """The padding blocks realize appends to t, in order."""
-    system = realize(t, include_fill=True)
-    return [blk for sp in system.spreads if sp.tag == "fill" for blk in sp.blocks]
+    """The padding that completes realize(t) to the powerset, in order."""
+    return padding_blocks(realize(t))
 
 
 def slack(t):
