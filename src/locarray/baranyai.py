@@ -340,6 +340,8 @@ def advance(state: RealizationState) -> RealizationState:
 
 @dataclass(frozen=True)
 class SpreadSystem:
+    """Spreads of 1..n. realize lists each one's blocks in (size, elements) order,
+    the order in which spreads_to_array gives out symbols."""
     n: int
     spreads: tuple[tuple[Block, ...], ...]  # one tuple of blocks per spread
 

@@ -99,27 +99,49 @@ class BoundParams:
     dbar_recovers: bool
 
 
+def _binomial_prefix(n: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(P, Q, T) with P/Q = C(n, hi)/C(n, lo) and T/Q the sum of C(n, i)/C(n, lo) over
+    lo <= i < hi, by binary splitting: halves combine as (P1 P2, Q1 Q2, T1 Q2 + P1 T2)."""
+    if hi - lo <= 24:  # short runs fold in one term ratio (n-i)/(i+1) at a time
+        p, q, t = 1, 1, 0
+        for i in range(lo, hi):
+            p, q, t = p * (n - i), q * (i + 1), (t + p) * (i + 1)
+        return p, q, t
+    mid = (lo + hi) // 2
+    (p1, q1, t1), (p2, q2, t2) = _binomial_prefix(n, lo, mid), _binomial_prefix(n, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
 def bound_params(n: int, v: int) -> BoundParams:
+    """BoundParams from c_i = C(n, i) over levels i <= f. With m = f-d+2, columns is
+    the sum of c_i over i < m plus floor(the sum of (f+1-i) c_i over m <= i, over d);
+    s sums (d-f-1+i) c_i over m <= i < f; s_prime sums (v-f+i) c_i over
+    f-v+1 <= i < f-1; dbar_recovers asks d >= f+2 (so m <= 0) and that second sum to
+    leave a residue above f modulo d. As d <= v+1, the levels below
+    lo = max(0, f-v+1) feed only the first sum: one binary split gives it and
+    C(n, lo), and the walk covers levels lo to f, at most v of them.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if v < 2:
         raise ValueError(f"need v >= 2, got {v}")
     f = (n + 1) // v
     d = (f + 1) * v - n
-    s = s_prime = head = tail = weighted = 0
-    c = 1  # C(n, i), advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
-    for i in range(f + 1):
+    lo = max(0, f - v + 1)
+    p, q, t = _binomial_prefix(n, 0, lo)
+    c, tail = p // q, t // q  # C(n, i) at i = lo, advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
+    s = s_prime = head = 0
+    for i in range(lo, f + 1):
         if i >= f - d + 2:
             head += (f + 1 - i) * c
             if i < f:
                 s += (d - f - 1 + i) * c
         else:
             tail += c
-        if f - v + 1 <= i < f - 1:
+        if i < f - 1:
             s_prime += (v - f + i) * c
-        weighted += (f + 1 - i) * c
         c = c * (n - i) // (i + 1)
-    recovers = d >= f + 2 and weighted % d > f
+    recovers = d >= f + 2 and head % d > f
     return BoundParams(n, v, f, d, s, s_prime, head // d + tail, recovers)
 
 
@@ -131,13 +153,9 @@ def max_columns(n: int, v: int, variant: Variant = VARIANT_11) -> int:
     the variant drops the zero shape, and one more again when a d-barred
     array recovers it.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if v < 2:
-        raise ValueError(f"need v >= 2, got {v}")
+    p = bound_params(n, v)  # raises ValueError for n < 1 or v < 2
     if v > variant.max_symbols(n):
         return 0
-    p = bound_params(n, v)
     return p.columns - variant.drops_zero_shape(v) + (variant.d_barred and p.dbar_recovers)
 
 

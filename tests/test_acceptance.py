@@ -102,6 +102,9 @@ def test_end_to_end_generation():
                 assert arr.k == k, (n, v, variant.label)
                 assert verify_la(arr, variant), (n, v, variant.label)
                 system = realize(build_variant_type(n, v, variant))
+                # each spread lists its blocks in the order spreads_to_array gives out symbols
+                assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b))
+                           for sp in system.spreads), (n, v, variant.label)
                 for doc in (format_array(arr), format_spread_system(system)):
                     digest.update(hashlib.sha256(doc.encode()).digest())
         assert digest.hexdigest() == SWEEP_SHA256[n], n

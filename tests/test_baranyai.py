@@ -425,6 +425,7 @@ class TestFinish:
         assert got == realize_by_stepping(t), t
         if no_skips:  # a group's needs sum to den, since its shape's sizes sum to n
             assert all(cls.skip_numerator == 0 for net in nets for cls in net.classes), t
+        return got
 
     def test_every_variant_up_to_twelve_points(self, monkeypatch):
         for n in range(1, 13):
@@ -433,7 +434,9 @@ class TestFinish:
                     self.assert_same_as_stepping(build_variant_type(n, v, variant), monkeypatch)
 
     def test_sixteen_points(self, monkeypatch):
-        self.assert_same_as_stepping(build_variant_type(16, 2), monkeypatch)
+        system = self.assert_same_as_stepping(build_variant_type(16, 2), monkeypatch)
+        # blocks come in (size, elements) order, the order spreads_to_array gives out symbols
+        assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b)) for sp in system.spreads)
 
     def test_random_types(self, monkeypatch):
         # shapes summing to less than n leave groups with no open block at the last step

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from locarray import (
 )
 from locarray.combinatorics import (
     VARIANT_LABELS,
+    BoundParams,
     binomial,
     bound_params,
     inequality_failures,
@@ -156,6 +159,64 @@ class TestBoundParams:
                 if n % v != v - 1:
                     assert p.s < binomial_(n, p.f)
                 assert p.s_prime < binomial_(n, p.f - 1)
+
+    def test_fields_match_direct_sums(self):
+        seen_lo, seen_residue = set(), False
+        for n in range(1, 201):
+            row = [math.comb(n, i) for i in range(n + 1)]
+            for v in range(2, n + 2):
+                f = (n + 1) // v
+                d = (f + 1) * v - n
+                m = f - d + 2
+                head = sum((f + 1 - i) * row[i] for i in range(max(0, m), f + 1))
+                weighted = sum((f + 1 - i) * row[i] for i in range(f + 1))
+                p = bound_params(n, v)
+                assert (p.f, p.d) == (f, d), (n, v)
+                assert p.columns == head // d + sum(row[:max(0, m)]), (n, v)
+                assert p.s == sum((d - f - 1 + i) * row[i] for i in range(max(0, m), f)), (n, v)
+                assert p.s_prime == sum((v - f + i) * row[i]
+                                        for i in range(max(0, f - v + 1), f - 1)), (n, v)
+                assert p.dbar_recovers == (d >= f + 2 and weighted % d > f), (n, v)
+                seen_lo.add(max(0, f - v + 1))
+                seen_residue |= d == v + 1
+        assert {0, 1, 2} <= seen_lo and seen_residue
+
+    @pytest.mark.parametrize("n", [2000, 10000])
+    @pytest.mark.parametrize("v", [2, 3, 7])
+    def test_matches_the_walk_over_every_level(self, n, v):
+        assert bound_params(n, v) == walk_bound_params(n, v)
+
+    def test_twenty_thousand_rows_digest(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(max_columns(20000, 3))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) == 5527
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f7cdf2f8976893c5b09527eb2f357af9390bf4608719aefe064444559deb45d6")
+
+
+def walk_bound_params(n, v):
+    """Reference: every level 0..f in one pass, C(n, i+1) = C(n, i) * (n-i) / (i+1)."""
+    f = (n + 1) // v
+    d = (f + 1) * v - n
+    s = s_prime = head = tail = weighted = 0
+    c = 1
+    for i in range(f + 1):
+        if i >= f - d + 2:
+            head += (f + 1 - i) * c
+            if i < f:
+                s += (d - f - 1 + i) * c
+        else:
+            tail += c
+        if f - v + 1 <= i < f - 1:
+            s_prime += (v - f + i) * c
+        weighted += (f + 1 - i) * c
+        c = c * (n - i) // (i + 1)
+    recovers = d >= f + 2 and weighted % d > f
+    return BoundParams(n, v, f, d, s, s_prime, head // d + tail, recovers)
 
 
 def binomial_(n, k):
