@@ -27,7 +27,7 @@ from .combinatorics import (
     max_columns,
 )
 from .oracle import max_k_exhaustive, verify_by_definition
-from .spread_types import Shape, VType, build_optimal_type, build_variant_type, is_admissible
+from .spread_types import Shape, VType, build_variant_type, is_admissible
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "VType",
     "Variant",
     "Verdict",
-    "build_optimal_type",
     "build_variant_type",
     "generate_la",
     "is_admissible",

@@ -179,7 +179,7 @@ def verify_da11(arr: TestArray) -> Verdict:
 
 
 def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
-    """One column per spread; blocks sorted by (size, elements) take symbols 0..v-1.
+    """One column per spread; a spread's blocks take symbols 0..v-1 in list order.
 
     Every spread must consist of exactly v blocks that partition {1..n},
     with at most one of them empty.
@@ -192,7 +192,7 @@ def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
         if sum(1 for b in blocks if not b) > 1:
             raise ValueError(f"spread {si} has more than one empty block")
         col = [-1] * n
-        for sym, b in enumerate(sorted(blocks, key=lambda b: (len(b), b))):
+        for sym, b in enumerate(blocks):
             for e in b:
                 if not 1 <= e <= n or col[e - 1] >= 0:  # outside 1..n, or placed twice
                     raise ValueError(f"spread {si} does not partition 1..{n}")

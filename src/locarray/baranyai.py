@@ -11,22 +11,22 @@ with the same content and target), each cell total must stay within the
 bounds that keep the invariant, and an integral rounding within one unit per
 aggregated arc exists because the constraint matrix is a network matrix. It is
 found by flooring and routing the leftovers along augmenting paths: to cells
-below their lower bound first, then to any option below its upper bound. The
+below their lower bound first, then to any cell below its upper bound. The
 last step is forced (den = 1: each open block takes n); its network is built
 for the bound checks only, and n joins the blocks in the final decode walk.
 
 The state holds one run of consecutive, identical groups per class of groups
-with the same slot multiset, and runs only split: each group gets an element
-in at most one block, so different multisets stay different, and a class
-serves its members in index order, so those taking one option stay a run.
+with the same slot multiset, and runs only split: each group gets the element
+in exactly one block, so different multisets stay different, and a class
+serves its members in index order, so those taking one cell stay a run.
 
 Determinism contract: elements are placed in increasing order; classes are
 processed in order of their sorted slots; within a class, cells are served in
-index order with skips last and member groups in index order. A leftover
-unit's breadth-first search scans its own class's options in that order, then
-full options in discovery order and each option's holders in the order they
-took it; this reaches classes in the order of a search that queues classes,
-and finds the same paths.
+index order and member groups in index order. A leftover unit's breadth-first
+search scans its own class's cells in that order, then full cells in
+discovery order and each cell's holders in the order they took it; this
+reaches classes in the order of a search that queues classes, and finds the
+same paths.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ class ClassNode(NamedTuple):
     """Groups with identical slot multisets, merged for the step solve: one run.
 
     arcs holds (cell index, numerator, block position) in cell order; the
-    fractional flow on an arc is numerator / denominator.
+    fractional flow on an arc is numerator / denominator. skip_numerator is
+    always 0; it stays because the benchmark's tracer reads it.
     """
 
     members: range
@@ -155,7 +156,7 @@ class StepNetwork(NamedTuple):
 def init_realization(t: VType) -> RealizationState:
     """Start a realization of t, one group of empty blocks per shape.
 
-    make_full is the admissibility gate; the padding that would complete the
+    make_full is the realization gate; the padding that would complete the
     powerset stays implicit as the slack of the counting invariant.
     """
     runs, first = [], 0
@@ -188,7 +189,7 @@ def build_step_network(state: RealizationState) -> StepNetwork:
 
     A cell holding c blocks that still need `need` elements keeps the
     invariant when between c - C(den - 1, need) and C(den - 1, need - 1) of
-    them receive the element.
+    them receive the element. A group's open blocks need den elements in all.
     """
     n, tau = state.n, state.tau
     if tau >= n:
@@ -217,40 +218,36 @@ def build_step_network(state: RealizationState) -> StepNetwork:
             if s in open_cell:
                 ci, need = open_cell[s]
                 arcs.append((ci, count * slots.count(s) * need, slots.index(s)))
-        skip_num = count * den - sum([num for _ci, num, _pos in arcs])
-        if skip_num < 0:
-            raise ValueError("not a realization state: open slots exceed remaining elements")
-        classes.append(ClassNode(range(first, first + count), tuple(arcs), skip_num))
+        if count * den != sum([num for _ci, num, _pos in arcs]):
+            raise ValueError("not a realization state: open slots and remaining elements differ")
+        classes.append(ClassNode(range(first, first + count), tuple(arcs), 0))
     return StepNetwork(tau, den, tuple(cells), tuple(classes))
 
 
-def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, int], ...], ...]:
-    """Per class, (block position, count) pairs: how many of its groups take each option.
+def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per class, (block position, count) pairs: how many of its groups take each cell.
 
-    Pairs come in option order (the class's cells in arc order, then skipping
-    as position None), positive counts only. Floors the fractional flow on
-    every aggregated arc, then routes the leftover units along augmenting
-    paths over the arcs that carry a fractional part: first to cells below
-    their lower bound, then to any option below its upper bound (skipping has
-    none); an option's holders are walked only when the search dequeues it.
-    The result keeps every cell within its bounds and stays within one unit
-    of the fractional flow on each aggregated arc.
+    Pairs come in the class's arc order, positive counts only. Floors the
+    fractional flow on every aggregated arc, then routes the leftover units
+    along augmenting paths over the arcs that carry a fractional part: first to
+    cells below their lower bound, then to any cell below its upper bound; a
+    cell's holders are walked only when the search dequeues it. The result
+    keeps every cell within its bounds and stays within one unit of the
+    fractional flow on each aggregated arc.
     """
-    den, ncells, nclasses = net.den, len(net.cells), len(net.classes)
-    skip = ncells  # option index for skipping
+    den, nclasses = net.den, len(net.classes)
 
-    frac_opts: list[tuple[int, ...]] = []
+    frac_cells: list[tuple[int, ...]] = []
     rem_supply: list[int] = []
-    tally = [0] * (ncells + 1)  # units each option receives so far
+    tally = [0] * len(net.cells)  # units each cell receives so far
     for cls in net.classes:
-        options = (*cls.arcs, (skip, cls.skip_numerator, None))
-        for opt, num, _pos in options:
-            tally[opt] += num // den
-        frac_opts.append(tuple([opt for opt, num, _pos in options if num % den]))
-        rem_supply.append(len(cls.members) - sum([num // den for _opt, num, _pos in options]))
+        for cell, num, _pos in cls.arcs:
+            tally[cell] += num // den
+        frac_cells.append(tuple([cell for cell, num, _pos in cls.arcs if num % den]))
+        rem_supply.append(len(cls.members) - sum([num // den for _cell, num, _pos in cls.arcs]))
 
-    low = [c.low for c in net.cells] + [0]
-    high = [c.high for c in net.cells] + [sum(len(cls.members) for cls in net.classes)]
+    low = [c.low for c in net.cells]
+    high = [c.high for c in net.cells]
     if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
@@ -265,9 +262,9 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, 
         dead = [False] * nclasses
         for start in range(nclasses):
             while rem_supply[start] > 0 and not dead[start]:
-                parent_opt: dict[int, int] = {}
+                parent_cell: dict[int, int] = {}
                 parent_cls: dict[int, int] = {}  # every class the search reached
-                queue = deque([-1])  # full options in discovery order; -1 walks the start class
+                queue = deque([-1])  # full cells in discovery order; -1 walks the start class
                 goal = -1
                 while queue and goal < 0:
                     via = queue.popleft()
@@ -276,14 +273,14 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, 
                             continue
                         parent_cls[ci] = via
                         ex = extra.get(ci, ())
-                        for opt in frac_opts[ci]:
-                            if opt in parent_opt or opt in ex:
+                        for cell in frac_cells[ci]:
+                            if cell in parent_cell or cell in ex:
                                 continue
-                            parent_opt[opt] = ci
-                            if tally[opt] < cap[opt]:
-                                goal = opt
+                            parent_cell[cell] = ci
+                            if tally[cell] < cap[cell]:
+                                goal = cell
                                 break
-                            queue.append(opt)
+                            queue.append(cell)
                         if goal >= 0:
                             break
                 if goal < 0:
@@ -294,17 +291,17 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, 
                     continue
                 tally[goal] += 1
                 rem_supply[start] -= 1
-                opt = goal
+                cell = goal
                 while True:
-                    ci = parent_opt[opt]
-                    extra[ci] = extra.get(ci, ()) + (opt,)
-                    holders.setdefault(opt, []).append(ci)
+                    ci = parent_cell[cell]
+                    extra[ci] = extra.get(ci, ()) + (cell,)
+                    holders.setdefault(cell, []).append(ci)
                     if ci == start:
                         break
                     prev = parent_cls[ci]
-                    extra[ci] = tuple([o for o in extra[ci] if o != prev])
+                    extra[ci] = tuple([c for c in extra[ci] if c != prev])
                     holders[prev].remove(ci)
-                    opt = prev
+                    cell = prev
 
     if any(t < lo for t, lo in zip(tally, low)):
         raise StepInfeasibleError("a cell stays below its lower bound after assignment")
@@ -312,8 +309,8 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, 
     result = []
     for ci, cls in enumerate(net.classes):
         ex = extra.get(ci, ())
-        pairs = tuple([(pos, c) for opt, num, pos in (*cls.arcs, (skip, cls.skip_numerator, None))
-                       if (c := num // den + (opt in ex)) > 0])
+        pairs = tuple([(pos, c) for cell, num, pos in cls.arcs
+                       if (c := num // den + (cell in ex)) > 0])
         if sum([c for _pos, c in pairs]) != len(cls.members):
             raise StepInfeasibleError("class assignment does not cover its groups")
         result.append(pairs)
@@ -321,17 +318,15 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int | None, 
 
 
 def advance(state: RealizationState) -> RealizationState:
-    """Place element tau + 1: each run splits into one run per option its class took."""
+    """Place element tau + 1: each run splits into one run per cell its class took."""
     assignment = integral_step_assignment(build_step_network(state))
     n, elem = state.n, state.tau + 1
     base, inc = n + 1, slot_increments(n)[elem]
     runs = []
     for (slots, first, _count), pairs in zip(state.runs, assignment):
         for pos, count in pairs:
-            child = slots
-            if pos is not None:
-                s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
-                child = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
+            s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
+            child = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
             runs.append((child, first, count))
             first += count
     runs.sort(key=lambda run: sorted(run[0]))
@@ -340,8 +335,8 @@ def advance(state: RealizationState) -> RealizationState:
 
 @dataclass(frozen=True)
 class SpreadSystem:
-    """Spreads of 1..n. realize lists each one's blocks in (size, elements) order,
-    the order in which spreads_to_array gives out symbols."""
+    """Spreads of 1..n. realize lists each one's blocks in (size, elements) order;
+    spreads_to_array gives block i of a spread symbol i."""
     n: int
     spreads: tuple[tuple[Block, ...], ...]  # one tuple of blocks per spread
 
@@ -350,7 +345,7 @@ def _finish(state: RealizationState) -> list[tuple[Block, ...]]:
     """At tau = n - 1, add n to every open block and decode the runs, in group order.
 
     The last network's bounds let an open slot occur once in all and need one
-    element, and a group hold at most one; it is built for those checks only.
+    element, and a group hold exactly one; it is built for those checks only.
     """
     n, base, inc, spreads = state.n, state.n + 1, slot_increments(state.n)[state.n], []
     open_slots = {cell.slot for cell in build_step_network(state).cells}
@@ -369,9 +364,9 @@ def _finish(state: RealizationState) -> list[tuple[Block, ...]]:
 def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     """Build a disjoint partial spread system of the given admissible type.
 
-    The cap on n is checked first, then admissibility (InadmissibleTypeError).
-    Each requested shape becomes one spread whose block sizes match the shape
-    exactly, and no block (as a set) occurs twice anywhere in the system.
+    The cap on n is checked first, then make_full's gate (ValueError). Each
+    requested shape becomes a spread partitioning 1..n with the shape's block
+    sizes exactly, and no block (as a set) occurs twice anywhere in the system.
     Elements 1..n-1 go through advance; the last step builds its network for
     the bound checks, then finishes in the walk that decodes the runs.
     Spreads come in the order of the type's shapes, and identical inputs

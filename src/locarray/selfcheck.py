@@ -11,7 +11,7 @@ from collections import Counter
 from .baranyai import advance, check_realization, decode_slot, init_realization
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
-from .spread_types import VType, build_optimal_type, build_variant_type, is_admissible
+from .spread_types import VType, build_variant_type, is_admissible
 
 __all__ = [
     "SUITES",
@@ -95,7 +95,7 @@ def realization_failures(max_n: int = 6) -> list[str]:
     fails = []
     for n in range(2, max_n + 1):
         for v in range(2, n + 2):
-            fails += type_realization_failures(build_optimal_type(n, v))
+            fails += type_realization_failures(build_variant_type(n, v))
     return fails
 
 

@@ -3,7 +3,7 @@
 A shape records the block sizes of one partial spread; a type is a multiset of
 shapes. A type is admissible when, for every size x, the number of size-x
 slots across all its shapes stays within C(n, x), the number of x-subsets of
-the ground set; exactly then can it be realized.
+the ground set; realization takes admissible types whose shapes sum to n.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "Shape",
     "VType",
     "balanced_shape",
-    "build_optimal_type",
     "build_variant_type",
     "is_admissible",
     "make_full",
@@ -174,11 +173,6 @@ def offset_shape(n: int, v: int) -> Shape:
     return Shape((f - 1, f - 1) + (f,) * (v - 3) + (f + 1,))
 
 
-def build_optimal_type(n: int, v: int) -> VType:
-    """The admissible v-type of maximum size: build_variant_type(n, v, VARIANT_11)."""
-    return build_variant_type(n, v, VARIANT_11)
-
-
 def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
     """The admissible v-type of maximum size for the variant, in one O(f) pass.
 
@@ -225,10 +219,12 @@ def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
 
 
 def make_full(t: VType) -> VType:
-    """The admissibility gate of realization: t itself, if it is admissible.
+    """The gate of realization: t itself, if its shapes sum to n and it is admissible.
 
     Realization never builds the padding that would raise t to C(n, x) slots
     of every size x; it stays implicit in the counting invariant."""
+    if short := [shape for shape, _count in t.items() if shape.total != t.n]:
+        raise ValueError(f"{short[0]} does not partition a ground set of size {t.n}")
     verdict = is_admissible(t)
     if not verdict:
         raise InadmissibleTypeError(verdict)

@@ -18,7 +18,8 @@ def random_array(rng: random.Random, max_rows=6, max_cols=6, max_symbols=4) -> T
 
 
 def random_admissible_type(rng: random.Random, min_n=2, max_n=10) -> VType:
-    """A random admissible type: shapes are accepted greedily while capacities allow."""
+    """A random admissible type whose shapes sum to n: shapes are accepted greedily
+    while capacities allow, and each shape's last entry takes what remains."""
     n = rng.randint(min_n, max_n)
     v = rng.randint(2, min(n + 1, 5))
     sigma = [0] * (n + 1)
@@ -26,11 +27,11 @@ def random_admissible_type(rng: random.Random, min_n=2, max_n=10) -> VType:
     for _ in range(rng.randint(1, 10)):
         length = rng.randint(1, v)
         entries, remaining = [], n
-        for _ in range(length):
+        for _ in range(length - 1):
             e = rng.randint(0, remaining)
             entries.append(e)
             remaining -= e
-        shape = Shape(tuple(entries))
+        shape = Shape((*entries, remaining))
         if all(sigma[x] + shape.entries.count(x) <= binomial(n, x) for x in set(shape.entries)):
             shapes[shape] = shapes.get(shape, 0) + 1
             for x in shape.entries:

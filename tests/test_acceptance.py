@@ -15,7 +15,6 @@ from locarray import (
     Shape,
     TestArray,
     VType,
-    build_optimal_type,
     build_variant_type,
     generate_la,
     is_admissible,
@@ -54,7 +53,7 @@ def test_optimal_type_validity():
     start = time.time()
     for n in range(2, 17):
         for v in range(2, n + 2):
-            t = build_optimal_type(n, v)
+            t = build_variant_type(n, v)
             assert is_admissible(t), (n, v)
             assert t.size() == max_columns(n, v), (n, v)
     assert time.time() - start < 30.0

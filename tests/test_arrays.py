@@ -10,7 +10,7 @@ from locarray import (
     VARIANT_BAR1_1,
     VARIANT_BAR1_BAR1,
     TestArray,
-    build_optimal_type,
+    build_variant_type,
     generate_la,
     max_columns,
     realize,
@@ -44,13 +44,17 @@ class TestTestArray:
 
 class TestSpreadsToArray:
     def test_small_pipeline(self):
-        system = realize(build_optimal_type(3, 2))
+        system = realize(build_variant_type(3, 2))
         assert spreads_to_array(system, 2) == ARR34
 
     def test_identity_column(self):
         system = SpreadSystem(3, (((1,), (2,), (3,)),))
         arr = spreads_to_array(system, 3)
         assert arr.rows == ((0,), (1,), (2,))
+
+    def test_blocks_take_symbols_in_list_order(self):
+        arr = spreads_to_array(SpreadSystem(3, (((2, 3), (1,)),)), 2)
+        assert arr.rows == ((1,), (0,), (0,))
 
     def test_overlapping_blocks_rejected(self):
         system = SpreadSystem(3, (((1, 2), (2,)),))
@@ -84,7 +88,7 @@ class TestSpreadsToArray:
 
     def test_round_trip_with_partitions(self):
         # column classes, sorted canonically, rebuild the spread blocks
-        system = realize(build_optimal_type(5, 3))
+        system = realize(build_variant_type(5, 3))
         arr = spreads_to_array(system, 3)
         for sp, classes in zip(system.spreads, set_classes(arr)):
             want = sorted(sp, key=lambda b: (len(b), b))

@@ -9,7 +9,6 @@ from locarray import (
     CapExceededError,
     Shape,
     VType,
-    build_optimal_type,
     build_variant_type,
     realize,
 )
@@ -81,8 +80,7 @@ class TestInitRealization:
 class TestAdvance:
     def test_small_deterministic_step(self):
         state = advance(init_realization(pair_type()))
-        # the bounds force exactly one of the two unit blocks to take element 1,
-        # and the group may not skip: it has two open slots for two elements
+        # the bounds force exactly one of the two unit blocks to take element 1
         assert state.tau == 1
         assert state.groups == (group(2, ((1,), ()), (1, 1)),)
 
@@ -96,18 +94,16 @@ class TestAdvance:
     def test_assignment_stays_within_one_of_the_fractional_flow(self):
         # each aggregated arc carries floor or ceil of its fractional value,
         # so integral fractional values are forced exactly
-        state = init_realization(build_optimal_type(3, 2))
+        state = init_realization(build_variant_type(3, 2))
         net = build_step_network(state)
         choice = expand_choices(net, integral_step_assignment(net))
-        counts = class_option_counts(state, net, choice)
+        counts = class_cell_counts(state, net, choice)
         for ci, cls in enumerate(net.classes):
             for cell_i, num, _pos in cls.arcs:
                 got = counts[ci].get(cell_i, 0)
                 assert abs(got * net.den - num) < net.den
                 if num % net.den == 0:
                     assert got * net.den == num
-            skip_got = counts[ci].get(len(net.cells), 0)
-            assert abs(skip_got * net.den - cls.skip_numerator) < net.den
 
     def test_invariant_holds_through_all_steps(self):
         rng = random.Random(7)
@@ -191,7 +187,7 @@ class TestCheckRealization:
         assert verdict == check_realization(state_of_groups(state.n, state.tau, (slots, slots)))
 
     def test_final_state_counts(self):
-        t = build_optimal_type(4, 2)
+        t = build_variant_type(4, 2)
         state = init_realization(t)
         for _ in range(4):
             state = advance(state)
@@ -206,7 +202,7 @@ class TestStepAssignmentAgainstBruteForce:
         cases = [
             pair_type(),
             VType(3, 2, {Shape((1, 2)): 2}),
-            build_optimal_type(3, 2),
+            build_variant_type(3, 2),
             VType(4, 3, {Shape((1, 1, 2)): 2, Shape((0, 2, 2)): 1}),
         ]
         rng = random.Random(19)
@@ -251,9 +247,9 @@ class TestStepAssignmentAgainstReference:
             self.assert_same_choices(random_admissible_type(rng))
 
     def test_random_networks(self):
-        # hand-built networks: each class splits den units per group among its
-        # arcs and the skip, and some numerators are off by one, so each of the
-        # four errors occurs; both roundings give the same choices or error
+        # hand-built networks: each class splits den units per group among one
+        # or more arcs, and some numerators are off by one, so each of the four
+        # errors occurs; both roundings give the same choices or error
         def outcome(rounding, net):
             try:
                 return rounding(net)
@@ -263,18 +259,17 @@ class TestStepAssignmentAgainstReference:
         rng = random.Random(31)
         outcomes = Counter()
         for _ in range(3000):
-            den, ncells = rng.randint(1, 5), rng.randint(0, 5)
+            den, ncells = rng.randint(1, 5), rng.randint(1, 5)
             lows = [rng.randint(-1, 2) for _ in range(ncells)]
             cells = tuple(Cell(ci, lo, lo + rng.randint(0, 4)) for ci, lo in enumerate(lows))
             classes, first = [], 0
             for _ in range(rng.randint(1, 6)):
                 size = rng.randint(1, 3)
-                targets = sorted(rng.sample(range(ncells), rng.randint(0, ncells)))
-                cuts = sorted(rng.randint(0, den * size) for _ in targets)
+                targets = sorted(rng.sample(range(ncells), rng.randint(1, ncells)))
+                cuts = sorted(rng.randint(0, den * size) for _ in targets[1:]) + [den * size]
                 arcs = tuple((ci, hi - lo + rng.choice((-1, 0, 0, 0, 0, 0, 0, 1)), pos)
                              for pos, (ci, lo, hi) in enumerate(zip(targets, [0, *cuts], cuts)))
-                skip_numerator = den * size - (cuts[-1] if cuts else 0)
-                classes.append(ClassNode(range(first, first + size), arcs, skip_numerator))
+                classes.append(ClassNode(range(first, first + size), arcs, 0))
                 first += size
             net = StepNetwork(0, den, cells, tuple(classes))
             got = outcome(lambda net: expand_choices(net, integral_step_assignment(net)), net)
@@ -283,9 +278,9 @@ class TestStepAssignmentAgainstReference:
         assert len(outcomes) == 5, outcomes  # the choices and each of the four errors
 
 
-def single_class_network(den, cells, arcs, skip_numerator=0, members=range(1)):
+def single_class_network(den, cells, arcs, members=range(1)):
     return StepNetwork(0, den, tuple(Cell(ci, low, high) for ci, (low, high) in enumerate(cells)),
-                       (ClassNode(members, arcs, skip_numerator),))
+                       (ClassNode(members, arcs, 0),))
 
 
 class TestStepInfeasible:
@@ -304,8 +299,9 @@ class TestStepInfeasible:
             integral_step_assignment(net)
 
     def test_cell_below_its_lower_bound(self):
-        # the cell needs one block, but the only group skips
-        net = single_class_network(2, [(1, 1)], (), skip_numerator=2)
+        # half a unit toward each of two cells that each need one block: the
+        # only group's unit goes to the first, and the second stays below
+        net = single_class_network(2, [(1, 1), (1, 1)], ((0, 1, 0), (1, 1, 1)))
         with pytest.raises(StepInfeasibleError, match="below its lower bound"):
             integral_step_assignment(net)
 
@@ -333,7 +329,7 @@ class TestRealize:
 
     def test_exact_small_system(self):
         # the only system of this type up to relabeling; ours is the canonical one
-        system = realize(build_optimal_type(3, 2))
+        system = realize(build_variant_type(3, 2))
         assert list(system.spreads) == [
             ((), (1, 2, 3)),
             ((1,), (2, 3)),
@@ -346,6 +342,10 @@ class TestRealize:
             realize(VType(4, 2, {Shape((0, 4)): 2}))
         assert err.value.verdict.size == 0
 
+    def test_shape_that_misses_an_element_rejected(self):
+        with pytest.raises(ValueError, match="does not partition"):
+            realize(VType(4, 2, {Shape((1, 2)): 1}))
+
     def test_cap(self):
         t = VType(17, 2, {Shape((8, 9)): 1})
         with pytest.raises(CapExceededError):
@@ -355,7 +355,7 @@ class TestRealize:
         assert system.n == 3
 
     def test_deterministic(self):
-        t = build_optimal_type(5, 3)
+        t = build_variant_type(5, 3)
         assert realize(t) == realize(t)
 
     def test_full_system_enumerates_the_powerset(self):
@@ -412,7 +412,7 @@ class TestFinish:
     """realize steps n - 1 times, builds the forced last network, then adds n in its decode walk."""
 
     @staticmethod
-    def assert_same_as_stepping(t, monkeypatch, no_skips=True):
+    def assert_same_as_stepping(t, monkeypatch):
         nets = []
 
         def counted(state):
@@ -423,8 +423,6 @@ class TestFinish:
         got = realize(t)
         assert len(nets) == t.n, t  # one network per element, the forced last one included
         assert got == realize_by_stepping(t), t
-        if no_skips:  # a group's needs sum to den, since its shape's sizes sum to n
-            assert all(cls.skip_numerator == 0 for net in nets for cls in net.classes), t
         return got
 
     def test_every_variant_up_to_twelve_points(self, monkeypatch):
@@ -439,10 +437,9 @@ class TestFinish:
         assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b)) for sp in system.spreads)
 
     def test_random_types(self, monkeypatch):
-        # shapes summing to less than n leave groups with no open block at the last step
         rng = random.Random(29)
         for _ in range(60):
-            self.assert_same_as_stepping(random_admissible_type(rng, max_n=9), monkeypatch, False)
+            self.assert_same_as_stepping(random_admissible_type(rng, max_n=9), monkeypatch)
 
     def test_forced_step_of_a_small_type(self):
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
@@ -453,13 +450,20 @@ class TestFinish:
         # two groups share the open slot ({1}, 2)
         ((group(3, ((1,), (2,)), (2, 1)), group(3, ((1,), ()), (2, 0))), "more blocks than"),
         # one group holds two open blocks
-        ((group(3, ((1,), (2,)), (2, 2)),), "open slots exceed"),
+        ((group(3, ((1,), (2,)), (2, 2)),), "open slots and remaining elements differ"),
         # an open block needs two elements at tau = n - 1
         ((group(3, ((1, 2), ()), (2, 2)),), "more blocks than"),
     ])
     def test_corrupted_last_state_raises(self, groups, message):
         with pytest.raises(ValueError, match=message):
             _finish(state_of_groups(3, 2, groups))
+
+    def test_group_needing_fewer_elements_than_remain_raises(self):
+        # at tau = 1 on 4 points the group's open block needs 2 of the 3 elements left
+        state = state_of_groups(4, 1, (group(4, ((1,), ()), (1, 2)),))
+        assert check_realization(state)
+        with pytest.raises(ValueError, match="open slots and remaining elements differ"):
+            build_step_network(state)
 
     def test_closed_block_off_its_target_raises(self):
         state = state_of_groups(3, 2, (group(3, ((1, 2), ()), (1, 1)),))
@@ -498,18 +502,14 @@ def expand_choices(net, assignment):
     return tuple(choices)
 
 
-def class_option_counts(state, net, choice):
-    """Per class, how many member groups took each option; skips count under index len(cells)."""
+def class_cell_counts(state, net, choice):
+    """Per class, how many member groups took each cell."""
     counts: list[dict[int, int]] = [{} for _ in net.classes]
     cell_of = {c.slot: i for i, c in enumerate(net.cells)}
     gi_to_ci = {gi: ci for ci, cls in enumerate(net.classes) for gi in cls.members}
     for gi, pos in enumerate(choice):
-        ci = gi_to_ci[gi]
-        if pos is None:
-            key = len(net.cells)
-        else:
-            key = cell_of[state.groups[gi][pos]]
-        counts[ci][key] = counts[ci].get(key, 0) + 1
+        key = cell_of[state.groups[gi][pos]]
+        counts[gi_to_ci[gi]][key] = counts[gi_to_ci[gi]].get(key, 0) + 1
     return counts
 
 

@@ -103,6 +103,13 @@ class TestTypeRealizeGenerate:
         assert code == 0
         assert json.loads(out) == {"n": 3, "spreads": [[[1], [2, 3]]]}
 
+    def test_realize_rejects_a_shape_that_misses_an_element(self, tmp_path, capsys):
+        type_file = tmp_path / "type.txt"
+        type_file.write_text("N 4\nv 2\n1 x 1 2\n")
+        code, out, err = run(["realize", str(type_file)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_realize_cap_exit_code(self, tmp_path, capsys):
         type_file = tmp_path / "type.txt"
         type_file.write_text("N 17\nv 2\n1 x 8 9\n")

@@ -1,4 +1,4 @@
-from locarray import build_optimal_type, selfcheck
+from locarray import build_variant_type, selfcheck
 from locarray.baranyai import RealizationCheck, advance, decode_slot, encode_slot
 from conftest import state_of_groups
 
@@ -21,7 +21,7 @@ def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
         raise AssertionError("no block with two elements")
 
     monkeypatch.setattr(selfcheck, "advance", reversing_advance)
-    assert selfcheck.type_realization_failures(build_optimal_type(4, 2)) == [
+    assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "padded system is not the powerset at n=4, v=2"
     ]
 
@@ -38,7 +38,7 @@ def test_a_run_counts_each_of_its_groups(monkeypatch):
 
     monkeypatch.setattr(selfcheck, "advance", doubling_advance)
     monkeypatch.setattr(selfcheck, "check_realization", lambda state: RealizationCheck(True))
-    assert selfcheck.type_realization_failures(build_optimal_type(4, 2)) == [
+    assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "block distinctness broken at n=4, v=2",
         "type fidelity broken at n=4, v=2",
         "padded system is not the powerset at n=4, v=2",

@@ -13,7 +13,6 @@ from locarray import (
     VARIANT_BAR1_BAR1,
     Shape,
     VType,
-    build_optimal_type,
     build_variant_type,
     is_admissible,
     max_columns,
@@ -65,7 +64,7 @@ class TestVType:
 
 class TestAdmissibility:
     def test_optimal_type_admissible(self):
-        assert is_admissible(build_optimal_type(6, 3))
+        assert is_admissible(build_variant_type(6, 3))
 
     def test_two_zero_entries_violate(self):
         verdict = is_admissible(VType(6, 3, {Shape((0, 3, 3)): 2}))
@@ -74,7 +73,7 @@ class TestAdmissibility:
 
     def test_tight_size_overflows(self):
         # the size-2 capacity of the optimal type at n=6, v=3 is already met
-        t = VType(6, 3, list(build_optimal_type(6, 3).items()) + [(Shape((2, 2, 2)), 1)])
+        t = VType(6, 3, list(build_variant_type(6, 3).items()) + [(Shape((2, 2, 2)), 1)])
         verdict = is_admissible(t)
         assert not verdict
         assert verdict.size == 2 and verdict.used == 18 and verdict.capacity == 15
@@ -87,7 +86,7 @@ class TestAdmissibility:
         for _ in range(300):
             n = rng.randint(1, 29)
             v = rng.randint(2, n + 1)
-            shapes = build_optimal_type(n, v).items()
+            shapes = build_variant_type(n, v).items()
             shapes += [(Shape((rng.randint(0, n),)), 1) for _ in range(3)]
             t = VType(n, v, shapes)
             got = is_admissible(t)
@@ -167,35 +166,35 @@ class TestOffsetShape:
 
 class TestOptimalType:
     def test_three_two(self):
-        t = build_optimal_type(3, 2)
+        t = build_variant_type(3, 2)
         assert t == VType(3, 2, {Shape((0, 3)): 1, Shape((1, 2)): 3})
 
     def test_one_more_symbol_than_rows(self):
         for n in range(2, 10):
-            t = build_optimal_type(n, n + 1)
+            t = build_variant_type(n, n + 1)
             assert t == VType(n, n + 1, {Shape((0,) + (1,) * n): 1})
 
     def test_six_three(self):
-        t = build_optimal_type(6, 3)
+        t = build_variant_type(6, 3)
         assert t == VType(
             6, 3, {Shape((0, 3, 3)): 1, Shape((1, 2, 3)): 6, Shape((2, 2, 2)): 3}
         )
 
     def test_five_three(self):
         # residue branch: one offset shape absorbs the spare size-1 slot
-        t = build_optimal_type(5, 3)
+        t = build_variant_type(5, 3)
         assert t == VType(
             5, 3, {Shape((0, 2, 3)): 1, Shape((1, 2, 2)): 3, Shape((1, 1, 3)): 1}
         )
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            build_optimal_type(4, 6)
+            build_variant_type(4, 6)
 
     def test_size_and_admissibility_sweep(self):
         for n in range(2, 13):
             for v in range(2, n + 2):
-                t = build_optimal_type(n, v)
+                t = build_variant_type(n, v)
                 assert all(len(shape) == v for shape, _ in t.items())
                 assert t.size() == max_columns(n, v)
                 assert is_admissible(t)
@@ -204,7 +203,7 @@ class TestOptimalType:
         for n in range(2, 13):
             for v in range(2, n + 2):
                 p = bound_params(n, v)
-                for shape, _ in build_optimal_type(n, v).items():
+                for shape, _ in build_variant_type(n, v).items():
                     assert sum(p.f + 1 - x for x in shape.entries if x <= p.f) >= p.d
 
     def test_random_admissible_types_never_beat_the_bound(self):
@@ -249,7 +248,7 @@ class TestVariantType:
         assert t.size() == 7 == max_columns(4, 2, VARIANT_1_BAR1)
 
     def test_strength_barred_three_symbols_unchanged(self):
-        assert build_variant_type(7, 3, VARIANT_1_BAR1) == build_optimal_type(7, 3)
+        assert build_variant_type(7, 3, VARIANT_1_BAR1) == build_variant_type(7, 3)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -330,13 +329,13 @@ class TestMakeFull:
         assert fill_blocks(VType(2, 2, {Shape((1, 1)): 1})) == [(), (1, 2)]
 
     def test_tight_size_gets_no_fill(self):
-        t = build_optimal_type(6, 3)
+        t = build_variant_type(6, 3)
         sizes = Counter(len(blk) for blk in fill_blocks(t))
         assert 1 not in sizes and 2 not in sizes
         assert sizes == slack(t)
 
     def test_full_input_unchanged(self):
-        t = build_optimal_type(3, 2)  # already full: C(3,i) copies of each level
+        t = build_variant_type(3, 2)  # already full: C(3,i) copies of each level
         assert fill_blocks(t) == []
         assert make_full(t) is t
 
@@ -351,3 +350,10 @@ class TestMakeFull:
     def test_inadmissible_input_rejected(self):
         with pytest.raises(InadmissibleTypeError):
             make_full(VType(4, 2, {Shape((0, 4)): 2}))
+
+    def test_shape_that_misses_an_element_rejected(self):
+        # admissible, but the shape's sizes sum to 3 on 4 points
+        t = VType(4, 2, {Shape((1, 2)): 1})
+        assert is_admissible(t)
+        with pytest.raises(ValueError, match="does not partition"):
+            make_full(t)
