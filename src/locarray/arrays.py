@@ -28,7 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestArray:
-    """An n x k array with entries in 0..v-1."""
+    """An n x k array with entries in 0..v-1, where 1 <= v <= n + 1."""
 
     __test__ = False  # not a pytest case, despite the name
 
@@ -38,8 +38,8 @@ class TestArray:
     def __post_init__(self) -> None:
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        if self.v < 1:
-            raise ValueError(f"need v >= 1, got {self.v}")
+        if not 1 <= self.v <= VARIANT_11.max_symbols(len(rows)):  # one empty class at most
+            raise ValueError(f"need 1 <= v <= n + 1, got v={self.v} with n={len(rows)}")
         if rows:
             k = len(rows[0])
             for r in rows:
@@ -56,11 +56,6 @@ class TestArray:
     @property
     def k(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def too_many_symbols(self) -> bool:
-        """v > n + 1, above every variant's max_symbols: each column has 2+ empty classes."""
-        return self.v > self.n_rows + 1
 
 
 @dataclass(frozen=True)
@@ -80,23 +75,13 @@ def _class_forms(arr: TestArray) -> tuple[list[list[int]], list[list[int]]]:
 
     By column: per column, its v classes as row bitmasks (bit r-1 of class s is
     set when row r shows s). By row, the transpose: per row and symbol s, the
-    bitmask of the columns that show s in that row. With too many symbols, each
-    column's symbols above n + 1 are renumbered from n + 2, so at most 2n + 2
-    classes per column are stored: each verifier's first fault still lies in
-    column 1 by symbol n + 1, and only da11's host symbol needs its own name.
+    bitmask of the columns that show s in that row.
     """
-    rows, width = arr.rows, arr.v
-    if arr.too_many_symbols:
-        top = arr.n_rows + 2
-        ranks = [{x: top + i for i, x in enumerate({x for x in col if x >= top})}
-                 for col in zip(*rows)]
-        rows = [tuple(rank.get(x, x) for rank, x in zip(ranks, row)) for row in rows]
-        width = top + max(map(len, ranks), default=0)
-    by_column = [[0] * width for _ in range(arr.k)]
+    by_column = [[0] * arr.v for _ in range(arr.k)]
     by_row = []
-    for r, row in enumerate(rows):
+    for r, row in enumerate(arr.rows):
         bit = 1 << r
-        columns = [0] * width
+        columns = [0] * arr.v
         for c, (classes, s) in enumerate(zip(by_column, row)):
             classes[s] |= bit
             columns[s] |= 1 << c
@@ -171,10 +156,7 @@ def verify_da11(arr: TestArray) -> Verdict:
                 if inside:
                     hosts.append(((inside & -inside).bit_length(), s2))
             if hosts:
-                c2, s2 = min(hosts)
-                if rows:  # the one symbol the host shows on the class, as the array names it
-                    s2 = arr.rows[(rows & -rows).bit_length() - 1][c2 - 1]
-                return Verdict(False, "class contained in another", ((c1, s1), (c2, s2)))
+                return Verdict(False, "class contained in another", ((c1, s1), min(hosts)))
     return Verdict(True)
 
 

@@ -41,6 +41,10 @@ def _load_json(text: str):
         raise ValueError("JSON document nested too deeply") from None
 
 
+def _json(doc) -> str:
+    return json.dumps(doc) + "\n"
+
+
 def _fields(doc, *keys: str) -> list:
     """The values of the given keys of a JSON object."""
     if not isinstance(doc, dict) or any(key not in doc for key in keys):
@@ -69,7 +73,7 @@ def format_type(t: VType, fmt: str = "text") -> str:
                 {"count": count, "entries": list(shape.entries)} for shape, count in t.items()
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
     lines = [f"N {t.n}", f"v {t.v}"]
     for shape, count in t.items():
         lines.append(f"{count} x {' '.join(str(e) for e in shape.entries)}")
@@ -105,7 +109,7 @@ def _block_text(block: tuple[int, ...]) -> str:
 def format_spread_system(system: SpreadSystem, fmt: str = "text") -> str:
     if fmt == "json":
         doc = {"n": system.n, "spreads": [[list(b) for b in sp] for sp in system.spreads]}
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
     lines = [f"N {system.n}", f"spreads {len(system.spreads)}"]
     lines += [" ".join(_block_text(b) for b in sp) for sp in system.spreads]
     return "\n".join(lines) + "\n"
@@ -119,7 +123,7 @@ def format_array(arr: TestArray, fmt: str = "text") -> str:
             "v": arr.v,
             "rows": [list(r) for r in arr.rows],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
     lines = [f"{arr.n_rows} {arr.k} {arr.v}"]
     for r in arr.rows:
         lines.append(" ".join(str(a) for a in r))
@@ -165,7 +169,7 @@ def format_table(variant: Variant, vs: list[int], rows: list[tuple[int, list[int
             "v": vs,
             "rows": [{"n": n, "values": values} for n, values in rows],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
     lines = ["N\\v " + " ".join(str(v) for v in vs)]
     for n, values in rows:
         lines.append(f"{n} " + " ".join(str(x) for x in values))
@@ -182,7 +186,7 @@ def format_oracle(n: int, v: int, variant: Variant, best: int, witness, fmt: str
             "max_k": best,
             "witness": [[sorted(cl) for cl in part] for part in witness],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
     lines = [f"max-k {best}"]
     for i, part in enumerate(witness, start=1):
         lines.append(f"{i}: " + " ".join(_block_text(tuple(sorted(cl))) for cl in part))

@@ -84,6 +84,8 @@ def max_k_exhaustive(
         raise CapExceededError(f"ground set size {n} exceeds the search cap ({max_n})")
     if v < 2:
         raise ValueError(f"need v >= 2, got {v}")
+    if n >= 1 and v > n + 1:  # no class repeats, so at most one is empty: at most n + 1 classes
+        return 0, []
     full = frozenset(range(1, n + 1))
     candidates: list[Partition] = []
     for part in enumerate_partitions(n, v, allow_empty=not variant.d_barred, max_n=max_n):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import advance, check_realization, decode_slot, init_realization
+from .baranyai import advance, check_realization, init_realization, realize
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
 from .spread_types import VType, build_variant_type, is_admissible
@@ -57,15 +57,15 @@ def type_failures(max_n: int = 12) -> list[str]:
 def type_realization_failures(t: VType) -> list[str]:
     """Realize one admissible type, checking each step and the result.
 
-    The counting invariant must hold after every step; the requested blocks
-    must be pairwise distinct and their spreads must have the type's shapes.
-    The padding is every subset no block uses, so the padded system is the
-    powerset, once each, exactly when the blocks are also strictly increasing
-    tuples inside 1..n.
+    The counting invariant must hold after each of the n - 1 advances; in the
+    system realize returns, the blocks must be pairwise distinct and the
+    spreads must have the type's shapes. The padding is every subset no block
+    uses, so the padded system is the powerset, once each, exactly when the
+    blocks are also strictly increasing tuples inside 1..n.
     """
     n, v = t.n, t.v
     state = init_realization(t)
-    for _ in range(n):
+    for _ in range(n - 1):
         state = advance(state)
         chk = check_realization(state)
         if not chk:
@@ -74,14 +74,12 @@ def type_realization_failures(t: VType) -> list[str]:
                 f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
             ]
     fails = []
-    runs = [([decode_slot(n, s)[0] for s in slots], count) for slots, _first, count in state.runs]
-    blocks = {b for run_blocks, _count in runs for b in run_blocks}
-    distinct = len(blocks) == sum(count * len(run_blocks) for run_blocks, count in runs)
+    spreads = realize(t, max_n=n).spreads
+    blocks = {b for spread in spreads for b in spread}
+    distinct = len(blocks) == sum(map(len, spreads))
     if not distinct:
         fails.append(f"block distinctness broken at n={n}, v={v}")
-    got: Counter[tuple[int, ...]] = Counter()
-    for run_blocks, count in runs:
-        got[tuple(sorted(map(len, run_blocks)))] += count
+    got = Counter(tuple(sorted(map(len, spread))) for spread in spreads)
     if got != Counter({shape.entries: count for shape, count in t.items()}):
         fails.append(f"type fidelity broken at n={n}, v={v}")
     ground = set(range(1, n + 1))

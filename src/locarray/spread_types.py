@@ -1,9 +1,9 @@
 """Block-size shapes, shape multisets (types), and the optimal constructions.
 
-A shape records the block sizes of one partial spread; a type is a multiset of
-shapes. A type is admissible when, for every size x, the number of size-x
-slots across all its shapes stays within C(n, x), the number of x-subsets of
-the ground set; realization takes admissible types whose shapes sum to n.
+A shape records the block sizes of one spread; a v-type is a multiset of
+shapes with v entries each, summing to n. A type is admissible when, for every
+size x, the number of size-x slots across all its shapes stays within C(n, x),
+the number of x-subsets of the ground set; realization takes admissible types.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Shape:
 class VType:
     """A multiset of shapes over the ground set {1..n}, with symbol count v.
 
-    Shapes may have any positive number of entries. The size-x slot counts
-    sigma(x) are tallied once, while the shapes are merged.
+    Every shape has v entries summing to n: the block sizes of one spread.
+    The size-x slot counts sigma(x) are tallied once, while the shapes merge.
     """
 
     __slots__ = ("n", "v", "_shapes", "_slots")
@@ -75,8 +75,8 @@ class VType:
         for shape, count in items:
             if count <= 0:
                 raise ValueError(f"multiplicity of {shape} must be positive")
-            if shape.total > n:
-                raise ValueError(f"{shape} does not fit in a ground set of size {n}")
+            if len(shape) != v or shape.total != n:
+                raise ValueError(f"{shape} does not partition {n} elements into {v} blocks")
             merged[shape] = merged.get(shape, 0) + count
             for x in shape.entries:
                 slots[x] += count
@@ -219,12 +219,10 @@ def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
 
 
 def make_full(t: VType) -> VType:
-    """The gate of realization: t itself, if its shapes sum to n and it is admissible.
+    """The gate of realization: t itself, if it is admissible.
 
     Realization never builds the padding that would raise t to C(n, x) slots
     of every size x; it stays implicit in the counting invariant."""
-    if short := [shape for shape, _count in t.items() if shape.total != t.n]:
-        raise ValueError(f"{short[0]} does not partition a ground set of size {t.n}")
     verdict = is_admissible(t)
     if not verdict:
         raise InadmissibleTypeError(verdict)

@@ -12,32 +12,29 @@ from locarray.combinatorics import binomial
 def random_array(rng: random.Random, max_rows=6, max_cols=6, max_symbols=4) -> TestArray:
     n = rng.randint(2, max_rows)
     k = rng.randint(1, max_cols)
-    v = rng.randint(2, max_symbols)
+    v = rng.randint(2, min(max_symbols, n + 1))  # a column has at most one empty class
     rows = tuple(tuple(rng.randrange(v) for _ in range(k)) for _ in range(n))
     return TestArray(rows, v)
 
 
 def random_admissible_type(rng: random.Random, min_n=2, max_n=10) -> VType:
-    """A random admissible type whose shapes sum to n: shapes are accepted greedily
-    while capacities allow, and each shape's last entry takes what remains."""
+    """A random admissible v-type: shapes of v entries summing to n, cut at random
+    points of 0..n, are accepted greedily while capacities allow; if none is, the
+    type holds one balanced shape."""
     n = rng.randint(min_n, max_n)
     v = rng.randint(2, min(n + 1, 5))
     sigma = [0] * (n + 1)
     shapes: dict[Shape, int] = {}
     for _ in range(rng.randint(1, 10)):
-        length = rng.randint(1, v)
-        entries, remaining = [], n
-        for _ in range(length - 1):
-            e = rng.randint(0, remaining)
-            entries.append(e)
-            remaining -= e
-        shape = Shape((*entries, remaining))
+        cuts = sorted(rng.randint(0, n) for _ in range(v - 1))
+        shape = Shape(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
         if all(sigma[x] + shape.entries.count(x) <= binomial(n, x) for x in set(shape.entries)):
             shapes[shape] = shapes.get(shape, 0) + 1
             for x in shape.entries:
                 sigma[x] += 1
     if not shapes:
-        shapes[Shape((n,))] = 1
+        q, r = divmod(n, v)
+        shapes[Shape((q,) * (v - r) + (q + 1,) * r)] = 1
     return VType(n, v, shapes)
 
 

@@ -234,11 +234,14 @@ class TestExitCodes:
         (["table", "--n-min", "0", "--n-max", "3"], 2),
         (["table", "--n-min", "5", "--n-max", "3"], 2),
         (["realize", "N 4\nv 2\n2 x 0 4\n"], 2),  # inadmissible: two empty blocks
+        (["realize", "N 4\nv 3\n1 x 2 2\n"], 2),  # 2 blocks in a 3-type
+        (["realize", "N 4\nv 2\n1 x 1 1 2\n"], 2),  # 3 blocks in a 2-type
         (["generate", "--N", "17", "--v", "3"], 3),
         (["realize", "N 17\nv 2\n1 x 8 9\n"], 3),
         (["oracle", "--N", "6", "--v", "2"], 3),
         (["verify", "2 2 2\n0 0\n1 1\n"], 1),  # column 2 duplicates column 1
         (["verify", "2 2 99999999999999999999\n0 1\n1 0\n"], 2),  # v above n + 1
+        (["verify", '{"n": 2, "k": 2, "v": 4, "rows": [[0, 1], [1, 0]]}'], 2),  # v = n + 2
     ]
 
     def test_every_subcommand(self, tmp_path, capsys):

@@ -17,26 +17,27 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
 @st.composite
 def arrays(draw):
-    v = draw(st.integers(1, 5))
-    k = draw(st.integers(0, 6))
     n = draw(st.integers(0, 6))
+    v = draw(st.integers(1, min(5, n + 1)))  # a column has at most one empty class
+    k = draw(st.integers(0, 6))
     row = st.tuples(*[st.integers(0, v - 1)] * k)
     return TestArray(tuple(draw(st.lists(row, min_size=n, max_size=n))), v)
 
 
 @st.composite
-def shapes(draw, n):
+def shapes(draw, n, v):
+    """v block sizes summing to n."""
     entries = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(v - 1):
         entries.append(draw(st.integers(0, n - sum(entries))))
-    return Shape(tuple(entries))
+    return Shape((*entries, n - sum(entries)))
 
 
 @st.composite
 def types(draw):
     n = draw(st.integers(1, 12))
     v = draw(st.integers(2, 6))
-    pairs = draw(st.lists(st.tuples(shapes(n), st.integers(1, 1000)), max_size=6))
+    pairs = draw(st.lists(st.tuples(shapes(n, v), st.integers(1, 1000)), max_size=6))
     return VType(n, v, pairs)
 
 

@@ -108,6 +108,10 @@ class TestMaxKExhaustive:
         with pytest.raises(CapExceededError):
             max_k_exhaustive(6, 2)
 
+    def test_no_search_above_n_plus_one_symbols(self):
+        # a partition with at most one empty class has at most n + 1 classes
+        assert max_k_exhaustive(3, 10**9) == (0, [])
+
     def test_needs_two_symbols(self):
         with pytest.raises(ValueError):
             max_k_exhaustive(3, 1)

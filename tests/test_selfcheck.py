@@ -1,43 +1,34 @@
 from locarray import build_variant_type, selfcheck
-from locarray.baranyai import RealizationCheck, advance, decode_slot, encode_slot
-from conftest import state_of_groups
+from locarray.baranyai import SpreadSystem, realize
 
 
 def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
-    # a reversed block passes the count invariant and is distinct as a tuple,
+    # a reversed block keeps its spread's shape and is distinct as a tuple,
     # but as a set it is a subset the padding also holds
-    def reversing_advance(state):
-        state = advance(state)
-        if state.tau < state.n:
-            return state
-        groups = list(state.groups)
-        for gi, slots in enumerate(groups):
-            for pos, s in enumerate(slots):
-                blk, m = decode_slot(state.n, s)
+    def reversing_realize(t, **kwargs):
+        system = realize(t, **kwargs)
+        spreads = list(system.spreads)
+        for i, spread in enumerate(spreads):
+            for pos, blk in enumerate(spread):
                 if len(blk) >= 2:
-                    reversed_slot = encode_slot(state.n, blk[::-1], m)
-                    groups[gi] = slots[:pos] + (reversed_slot,) + slots[pos + 1:]
-                    return state_of_groups(state.n, state.tau, groups)
+                    spreads[i] = spread[:pos] + (blk[::-1],) + spread[pos + 1:]
+                    return SpreadSystem(system.n, tuple(spreads))
         raise AssertionError("no block with two elements")
 
-    monkeypatch.setattr(selfcheck, "advance", reversing_advance)
+    monkeypatch.setattr(selfcheck, "realize", reversing_realize)
     assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "padded system is not the powerset at n=4, v=2"
     ]
 
 
 def test_a_run_counts_each_of_its_groups(monkeypatch):
-    # one more group in the first final run repeats its blocks and its shape;
-    # the counting invariant would report that first, so it is switched off
-    def doubling_advance(state):
-        state = advance(state)
-        if state.tau < state.n:
-            return state
-        (slots, first, count), *rest = state.runs
-        return state._replace(runs=((slots, first, count + 1), *rest))
+    # one more group in the first final run repeats its spread, so its blocks
+    # and its shape are counted twice
+    def doubling_realize(t, **kwargs):
+        system = realize(t, **kwargs)
+        return SpreadSystem(system.n, system.spreads[:1] + system.spreads)
 
-    monkeypatch.setattr(selfcheck, "advance", doubling_advance)
-    monkeypatch.setattr(selfcheck, "check_realization", lambda state: RealizationCheck(True))
+    monkeypatch.setattr(selfcheck, "realize", doubling_realize)
     assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "block distinctness broken at n=4, v=2",
         "type fidelity broken at n=4, v=2",

@@ -51,6 +51,12 @@ class TestVType:
         with pytest.raises(ValueError):
             VType(3, 2, {Shape((2, 2)): 1})
 
+    def test_rejects_a_shape_with_another_block_count(self):
+        # each shape is one spread of v blocks: 3 blocks of a 2-type, 2 of a 3-type
+        for v, entries in ((2, (1, 1, 2)), (3, (2, 2))):
+            with pytest.raises(ValueError, match=f"does not partition 4 elements into {v} blocks"):
+                VType(4, v, {Shape(entries): 1})
+
     def test_rejects_nonpositive_multiplicity(self):
         with pytest.raises(ValueError):
             VType(4, 2, [(Shape((1, 3)), 0)])
@@ -79,15 +85,20 @@ class TestAdmissibility:
         assert verdict.size == 2 and verdict.used == 18 and verdict.capacity == 15
 
     def test_matches_a_per_size_reference(self):
-        # optimal types plus three random single blocks, against math.comb per
-        # size; the blocks land on tight and on slack sizes, so both verdicts occur
+        # optimal types, each multiplicity cut to a random part, plus three random
+        # v-part shapes (one empty part only when v = n + 1), against math.comb
+        # per size; an optimal type has no room for one more shape, but the cut
+        # ones do, so both verdicts occur
         rng = random.Random(4099)
         verdicts = Counter()
         for _ in range(300):
             n = rng.randint(1, 29)
             v = rng.randint(2, n + 1)
-            shapes = build_variant_type(n, v).items()
-            shapes += [(Shape((rng.randint(0, n),)), 1) for _ in range(3)]
+            shapes = [(shape, rng.randint(1, c)) for shape, c in build_variant_type(n, v).items()]
+            for _ in range(3):
+                cuts = sorted(rng.sample(range(1, n), min(v, n) - 1))
+                entries = [b - a for a, b in zip([0, *cuts], [*cuts, n])] + [0] * (v - min(v, n))
+                shapes.append((Shape(tuple(entries)), 1))
             t = VType(n, v, shapes)
             got = is_admissible(t)
             want = reference_admissibility(t)
@@ -352,8 +363,6 @@ class TestMakeFull:
             make_full(VType(4, 2, {Shape((0, 4)): 2}))
 
     def test_shape_that_misses_an_element_rejected(self):
-        # admissible, but the shape's sizes sum to 3 on 4 points
-        t = VType(4, 2, {Shape((1, 2)): 1})
-        assert is_admissible(t)
-        with pytest.raises(ValueError, match="does not partition"):
-            make_full(t)
+        # the shape's sizes sum to 3 on 4 points: the type is refused when built
+        with pytest.raises(ValueError, match="does not partition 4 elements into 2 blocks"):
+            VType(4, 2, {Shape((1, 2)): 1})
