@@ -8,8 +8,8 @@ interaction is covered by every row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
+from itertools import chain, product, repeat
+from operator import and_, or_
 
 from .baranyai import DEFAULT_MAX_N, SpreadSystem, realize
 from .combinatorics import VARIANT_11, Variant, max_columns
@@ -40,14 +40,13 @@ class TestArray:
         object.__setattr__(self, "rows", rows)
         if not 1 <= self.v <= VARIANT_11.max_symbols(len(rows)):  # one empty class at most
             raise ValueError(f"need 1 <= v <= n + 1, got v={self.v} with n={len(rows)}")
-        if rows:
-            k = len(rows[0])
-            for r in rows:
-                if len(r) != k:
-                    raise ValueError("rows have unequal lengths")
-                for a in r:
-                    if not 0 <= a < self.v:
-                        raise ValueError(f"entry {a} outside 0..{self.v - 1}")
+        for r in rows:
+            if len(r) != len(rows[0]):
+                raise ValueError("rows have unequal lengths")
+            symbols = set(r)  # a few distinct values: cheaper to range-check than the row
+            if min(symbols, default=0) < 0 or max(symbols, default=0) >= self.v:
+                bad = next(a for a in r if not 0 <= a < self.v)
+                raise ValueError(f"entry {bad} outside 0..{self.v - 1}")
 
     @property
     def n_rows(self) -> int:
@@ -70,23 +69,47 @@ class Verdict:
         return self.ok
 
 
-def _class_forms(arr: TestArray) -> tuple[list[list[int]], list[list[int]]]:
-    """Both forms of the column classes, from the one pass that reads them off the rows.
+def _class_forms(arr: TestArray) -> tuple[list[int], list[int]]:
+    """Both forms of the column classes, read off the rows by string work in C.
 
-    By column: per column, its v classes as row bitmasks (bit r-1 of class s is
-    set when row r shows s). By row, the transpose: per row and symbol s, the
-    bitmask of the columns that show s in that row.
-    """
-    by_column = [[0] * arr.v for _ in range(arr.k)]
-    by_row = []
-    for r, row in enumerate(arr.rows):
-        bit = 1 << r
-        columns = [0] * arr.v
-        for c, (classes, s) in enumerate(zip(by_column, row)):
-            classes[s] |= bit
-            columns[s] |= 1 << c
-        by_row.append(columns)
-    return by_column, by_row
+    By class: per class (c, s) in column-major order, its row bitmask (bit r-1
+    set when row r shows s in column c). By row: per row, bit (c-1)*v + s set
+    when the row shows s in column c. Symbols become characters, which
+    str.translate turns into binary digits, symbol by symbol, for int(..., 2)."""
+    n, k, v = arr.n_rows, arr.k, arr.v
+    lines = ["".join(map(chr, row)) for row in arr.rows]
+    # column by column, after a pad chr(v) that reads "0", the last row first
+    columns = "".join(chain.from_iterable(zip(chr(v) * k, *reversed(lines))))
+    rows = "".join(chr(v) + line[::-1] for line in reversed(lines))  # likewise, row by row
+    by_column, digits = [], bytearray(len(rows) * v)
+    for s in range(v):
+        table = ["0"] * s + ["1"] + ["0"] * (v - s)  # "1" for s only
+        bits = columns.translate(table)
+        by_column.append([int(bits[i:i + n + 1], 2) for i in range(0, len(bits), n + 1)])
+        digits[v - 1 - s::v] = rows.translate(table).encode()  # the v digits of a column, s last
+    by_row = [int(digits[i:i + (k + 1) * v], 2) for i in range(0, len(digits), (k + 1) * v)]
+    return list(chain.from_iterable(zip(*by_column))), by_row[::-1]
+
+
+def _class_folds(arr: TestArray, op, empty: int):
+    """Per class in column-major order, the op-fold of the by-row masks of its
+    rows (`empty` for none) in ceil(n/8) lookups. Four-Russians tables hold, per
+    chunk of up to 8 rows, the fold of each subset of them: 2^8 masks of v*k
+    bits where the by-row form holds 8, 32 times its memory."""
+    classes, by_row = _class_forms(arr)
+    tables = []
+    for start in range(0, arr.n_rows, 8):
+        table = [empty]  # bit i of the index stands for row start + i
+        for mask in by_row[start:start + 8]:
+            table += list(map(op, table, repeat(mask)))
+        tables.append(table)
+    for start in range(0, len(classes), 64):  # 64 folds at a time, each step a C loop
+        block = classes[start:start + 64]
+        chunks = b"".join(map(int.to_bytes, block, repeat(len(tables)), repeat("little")))
+        folds = [empty] * len(block)
+        for i, table in enumerate(tables):
+            folds = list(map(op, folds, map(table.__getitem__, chunks[i::len(tables)])))
+        yield from folds
 
 
 def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
@@ -98,65 +121,57 @@ def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
     """
     full = (1 << arr.n_rows) - 1
     seen: dict[int, tuple[int, int]] = {}
-    for c, classes in enumerate(_class_forms(arr)[0], start=1):
-        for s, rows in enumerate(classes):
-            if variant.d_barred and not rows:
-                return Verdict(False, "empty class", ((c, s),))
-            if variant.t_barred and rows == full:
-                return Verdict(False, "class equals the full row set", ((c, s),))
-            if rows in seen:
-                return Verdict(False, "two classes with the same row set", (seen[rows], (c, s)))
-            seen[rows] = (c, s)
+    for (c, s), rows in zip(product(range(1, arr.k + 1), range(arr.v)), _class_forms(arr)[0]):
+        if variant.d_barred and not rows:
+            return Verdict(False, "empty class", ((c, s),))
+        if variant.t_barred and rows == full:
+            return Verdict(False, "class equals the full row set", ((c, s),))
+        if rows in seen:
+            return Verdict(False, "two classes with the same row set", (seen[rows], (c, s)))
+        seen[rows] = (c, s)
     return Verdict(True)
 
 
 def verify_ca2(arr: TestArray) -> Verdict:
     """Strength-2 coverage: every symbol pair appears in some row, for every column pair.
 
-    The witness is the first uncovered pair in (c1, c2, s1, s2) order.
+    The (column, symbol) pairs seen in some row of a class come from tables of
+    OR-folds: 2^8 masks of v*k bits per 8 rows, 32 times the by-row form (see
+    _class_folds). The witness is the first uncovered pair in (c1, c2, s1, s2) order.
     """
-    by_column, by_row = _class_forms(arr)
-    everything = (1 << arr.k) - 1
-    for c1, classes in enumerate(by_column, start=1):
-        later = everything >> c1 << c1
-        gaps = []
-        for s1, rows in enumerate(classes):
-            entries = [symbols for r, symbols in enumerate(by_row) if rows >> r & 1]
-            for s2 in range(len(classes)):
-                # the later columns that show s2 in no row of class (c1, s1);
-                # the lowest set bit, as a 1-based column, is the first c2
-                missed = later & ~reduce(or_, (symbols[s2] for symbols in entries), 0)
-                if missed:
-                    gaps.append(((missed & -missed).bit_length(), s1, s2))
-        if gaps:
-            c2, s1, s2 = min(gaps)
-            return Verdict(False, "uncovered symbol pair", ((c1, s1), (c2, s2)))
-    return Verdict(True)
+    k, v = arr.k, arr.v
+    everything = (1 << k * v) - 1
+    gaps = []
+    for (c1, s1), covered in zip(product(range(1, k + 1), range(v)), _class_folds(arr, or_, 0)):
+        if s1 == 0:
+            if gaps:
+                break
+            later = everything >> c1 * v << c1 * v  # the columns after c1, every symbol
+        missed = later & covered ^ later  # the later (c2, s2) in no row of class (c1, s1)
+        if missed:  # the lowest bit is the least c2, then s2
+            c2, s2 = divmod((missed & -missed).bit_length() - 1, v)
+            gaps.append((c1, c2 + 1, s1, s2))
+    if not gaps:
+        return Verdict(True)
+    c1, c2, s1, s2 = min(gaps)
+    return Verdict(False, "uncovered symbol pair", ((c1, s1), (c2, s2)))
 
 
 def verify_da11(arr: TestArray) -> Verdict:
     """Inclusion-freeness: no column class contained in another (an antichain).
 
-    The witness is the first pair of classes in column-major order.
+    The (column, symbol) pairs seen in every row of a class come from tables of
+    AND-folds: 2^8 masks of v*k bits per 8 rows, 32 times the by-row form (see
+    _class_folds). The witness is the first pair of classes in column-major order.
     """
-    by_column, by_row = _class_forms(arr)
-    everything = (1 << arr.k) - 1
-    for c1, classes in enumerate(by_column, start=1):
-        for s1, rows in enumerate(classes):
-            entries = [symbols for r, symbols in enumerate(by_row) if rows >> r & 1]
-            hosts = []
-            for s2 in range(len(classes)):
-                # the columns that show s2 in every row of class (c1, s1), all
-                # of them when the class is empty, other than c1 itself
-                inside = everything & ~(1 << (c1 - 1)) if s2 == s1 else everything
-                for symbols in entries:
-                    inside &= symbols[s2]
-                    if not inside:
-                        break
-                if inside:
-                    hosts.append(((inside & -inside).bit_length(), s2))
-            if hosts:
-                return Verdict(False, "class contained in another", ((c1, s1), min(hosts)))
+    k, v = arr.k, arr.v
+    full = (1 << k * v) - 1
+    for (c1, s1), inside in zip(product(range(1, k + 1), range(v)), _class_folds(arr, and_, full)):
+        # the classes that hold every row of (c1, s1), all when it is empty; it holds itself
+        inside ^= 1 << (c1 - 1) * v + s1
+        if inside:  # the lowest bit is the least column, then symbol
+            c2, s2 = divmod((inside & -inside).bit_length() - 1, v)
+            return Verdict(False, "class contained in another", ((c1, s1), (c2 + 1, s2)))
     return Verdict(True)
 
 

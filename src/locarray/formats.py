@@ -64,6 +64,15 @@ def _int(value) -> int:
     return value
 
 
+def _ints(tokens: list[str]) -> tuple[int, ...]:
+    """ASCII decimal tokens as integers; int() would also take '+1', '1_0' and non-ASCII digits."""
+    digits = "".join(tokens)
+    if tokens and not (digits.isascii() and digits.isdigit()):
+        bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+        raise ValueError(f"expected a decimal number, got {bad!r:.40}")
+    return tuple(map(int, tokens))
+
+
 def format_type(t: VType, fmt: str = "text") -> str:
     if fmt == "json":
         doc = {
@@ -92,13 +101,13 @@ def parse_type(text: str) -> VType:
     header = [ln.split() for ln in lines[:2]]
     if [h[0] for h in header] != ["N", "v"] or any(len(h) != 2 for h in header):
         raise ValueError("type document must start with 'N <int>' and 'v <int>' lines")
-    n, v = (int(h[1]) for h in header)
+    n, v = _ints([h[1] for h in header])
     shapes: list[tuple[Shape, int]] = []
     for ln in lines[2:]:
         head, _, tail = ln.partition(" x ")
         if not tail:
             raise ValueError(f"bad shape line: {ln!r}")
-        shapes.append((Shape(tuple(int(e) for e in tail.split())), int(head)))
+        shapes.append((Shape(_ints(tail.split())), *_ints([head.strip()])))
     return VType(n, v, shapes)
 
 
@@ -142,7 +151,7 @@ def parse_array(text: str) -> TestArray:
         header = lines[0].split()
         if len(header) != 3:
             raise ValueError("array header must be 'n k v'")
-        n, k, v = (int(x) for x in header)
+        n, k, v = _ints(header)
         body = lines[1:]
         if len(body) < n:
             raise ValueError(f"expected {n} rows, found {len(body)}")
@@ -150,7 +159,7 @@ def parse_array(text: str) -> TestArray:
             raise ValueError(f"unexpected lines after the {n} declared rows")
         rows = []
         for ln in body[:n]:
-            row = tuple(int(a) for a in ln.split())
+            row = _ints(ln.split())
             if len(row) != k:
                 raise ValueError(f"expected {k} entries per row, got {len(row)}")
             rows.append(row)

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations, product
+from operator import and_, or_
 
 import pytest
 
@@ -19,6 +21,7 @@ from locarray import (
     verify_da11,
     verify_la,
 )
+from locarray.arrays import _class_folds, _class_forms
 from locarray.baranyai import SpreadSystem
 from conftest import random_array
 
@@ -40,6 +43,14 @@ class TestTestArray:
     def test_symbol_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TestArray(((0, 2),), v=2)
+
+    def test_first_bad_entry_in_row_major_order_is_named(self):
+        with pytest.raises(ValueError, match=r"^entry 3 outside 0\.\.1$"):
+            TestArray(((0, 1), (3, -1)), v=2)
+        with pytest.raises(ValueError, match=r"^entry -2 outside 0\.\.1$"):
+            TestArray(((0, 1), (1, 0), (-2, 5)), v=2)
+        with pytest.raises(ValueError, match="^rows have unequal lengths$"):
+            TestArray(((0, 1), (1,), (5, 5)), v=2)
 
 
 class TestSpreadsToArray:
@@ -203,6 +214,80 @@ class TestVerifiersAgainstRowSets:
                 outcomes[name].add(got.ok)
         # both verdicts occur, so the witnesses of failures and the passes are compared
         assert outcomes == {"ca2": {True, False}, "da11": {True, False}}
+
+
+def reference_la(arr, variant):
+    seen = {}
+    for c, classes in enumerate(set_classes(arr), start=1):
+        for s, rows in enumerate(classes):
+            if variant.d_barred and not rows:
+                return False, ((c, s),)
+            if variant.t_barred and len(rows) == arr.n_rows:
+                return False, ((c, s),)
+            if rows in seen:
+                return False, (seen[rows], (c, s))
+            seen[rows] = (c, s)
+    return True, ()
+
+
+def reference_forms(arr):
+    """The class forms entry by entry: row masks per class in column-major
+    order, and per row one mask with bit c*v + s set where the row shows s in
+    column c (0-based)."""
+    by_class = [0] * (arr.k * arr.v)
+    by_row = [0] * arr.n_rows
+    for r, row in enumerate(arr.rows):
+        for c, s in enumerate(row):
+            by_class[c * arr.v + s] |= 1 << r
+            by_row[r] |= 1 << (c * arr.v + s)
+    return by_class, by_row
+
+
+class TestChunkEdges:
+    """The verifiers fold rows in chunks of 8: arrays with 7, 8, 9, 16 and 17 rows,
+    and v up to n + 1, so that classes end on and across chunk borders and some are empty."""
+
+    def arrays(self):
+        rng = random.Random(1617)
+        for n in (7, 8, 9, 16, 17):
+            for v in (1, 2, 2, 3, rng.randint(2, n + 1), n + 1):
+                for _ in range(6):
+                    k = rng.randint(1, 5)
+                    yield TestArray(tuple(tuple(rng.randrange(v) for _ in range(k))
+                                          for _ in range(n)), v)
+
+    def test_verifiers_match_the_references(self):
+        outcomes = {"ca2": set(), "da11": set(), "la": set()}
+        for arr in self.arrays():
+            for name, check, reference in (("ca2", verify_ca2, reference_ca2),
+                                           ("da11", verify_da11, reference_da11)):
+                got = check(arr)
+                assert (got.ok, got.witness) == reference(arr), (name, arr)
+                outcomes[name].add(got.ok)
+            for variant in ALL_VARIANTS:
+                got = verify_la(arr, variant)
+                assert (got.ok, got.witness) == reference_la(arr, variant), (variant, arr)
+                outcomes["la"].add(got.ok)
+        assert outcomes == {"ca2": {True, False}, "da11": {True, False}, "la": {True, False}}
+
+    def test_class_forms_match_entry_by_entry(self):
+        edges = [TestArray((), 1), TestArray(((), (), ()), 2), TestArray(((0, 0, 0),), 1),
+                 TestArray(((0, 1, 2), (2, 2, 0)), 3), TestArray(((0,), (0,), (0,)), 1),
+                 TestArray(tuple((r % 5, 3 - r % 4) for r in range(4)), 5)]
+        for arr in [*edges, *self.arrays()]:
+            assert _class_forms(arr) == reference_forms(arr), arr
+
+    def test_folds_across_blocks_of_classes(self):
+        """Folds come in blocks of 64 classes: here 256, 257, 258 and 513 of them."""
+        rng = random.Random(256)
+        for v, k in ((2, 128), (1, 257), (2, 129), (3, 171)):
+            arr = TestArray(tuple(tuple(rng.randrange(v) for _ in range(k)) for _ in range(9)), v)
+            by_class, by_row = reference_forms(arr)
+            full = (1 << k * v) - 1
+            for op, empty in ((or_, 0), (and_, full)):
+                want = [reduce(op, (m for r, m in enumerate(by_row) if rows >> r & 1), empty)
+                        for rows in by_class]
+                assert list(_class_folds(arr, op, empty)) == want, (v, k, op)
 
 
 class TestTooManySymbols:

@@ -219,6 +219,33 @@ class TestMalformedDocuments:
             assert err.startswith("error: ") and "Traceback" not in err, (command, text)
 
 
+class TestStrictNumbers:
+    """Text documents take ASCII decimal digits only, although int() would take more."""
+
+    CASES = [
+        ("verify", "1 2 2\n0 +1\n", "'+1'"),  # int() reads 1: a valid array
+        ("verify", "1 2 2\n0 1_0\n", "'1_0'"),  # int() reads 10
+        ("verify", "-1 2 2\n", "'-1'"),  # int() reads -1 rows
+        ("verify", "1 2 2\n0 \u0661\n", "'\u0661'"),  # int() reads the Arabic-Indic 1
+        ("verify", "1 +2 2\n0 1\n", "'+2'"),
+        ("realize", "N +4\nv 2\n1 x 2 2\n", "'+4'"),
+        ("realize", "N 4\nv 2\n1 x 2 +2\n", "'+2'"),
+        ("realize", "N 4\nv 2\n1_0 x 2 2\n", "'1_0'"),
+    ]
+
+    def test_usage_error_names_the_token(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        for command, text, token in self.CASES:
+            doc.write_text(text, encoding="utf-8")
+            code, out, err = run([command, str(doc)], capsys)
+            assert (code, out) == (2, ""), (command, text)
+            assert err == f"error: expected a decimal number, got {token}\n", (command, text)
+
+    def test_leading_zeros_and_padding_still_parse(self):
+        assert parse_array("02 2 2\n 0  01 \n1\t00\n").rows == ((0, 1), (1, 0))
+        assert parse_type("N 4\nv 2\n1  x 2 02\n") == parse_type("N 4\nv 2\n1 x 2 2\n")
+
+
 class TestExitCodes:
     """The exit-code contract: 0 ok, 1 violation, 2 usage, 3 cap, never a traceback."""
 
