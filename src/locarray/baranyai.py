@@ -251,9 +251,9 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
     if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
-    # one extra unit may ride on each fractional arc; only classes on a path get an entry
-    extra: dict[int, tuple[int, ...]] = {}
-    holders: dict[int, list[int]] = {}
+    # one extra unit may ride on each fractional arc: cell -> the classes holding one,
+    # in the order they took it; only cells on a path get an entry
+    holders: dict[int, dict[int, None]] = {}
 
     # Phase 1 meets the lower bounds. When a search fails, no class it saw can
     # reach a cell below its lower bound, now or after later augmentations, so
@@ -272,9 +272,8 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
                         if ci in parent_cls or dead[ci]:
                             continue
                         parent_cls[ci] = via
-                        ex = extra.get(ci, ())
                         for cell in frac_cells[ci]:
-                            if cell in parent_cell or cell in ex:
+                            if cell in parent_cell or ci in holders.get(cell, ()):
                                 continue
                             parent_cell[cell] = ci
                             if tally[cell] < cap[cell]:
@@ -294,13 +293,11 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
                 cell = goal
                 while True:
                     ci = parent_cell[cell]
-                    extra[ci] = extra.get(ci, ()) + (cell,)
-                    holders.setdefault(cell, []).append(ci)
+                    holders.setdefault(cell, {})[ci] = None
                     if ci == start:
                         break
                     prev = parent_cls[ci]
-                    extra[ci] = tuple([c for c in extra[ci] if c != prev])
-                    holders[prev].remove(ci)
+                    del holders[prev][ci]
                     cell = prev
 
     if any(t < lo for t, lo in zip(tally, low)):
@@ -308,9 +305,8 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
 
     result = []
     for ci, cls in enumerate(net.classes):
-        ex = extra.get(ci, ())
         pairs = tuple([(pos, c) for cell, num, pos in cls.arcs
-                       if (c := num // den + (cell in ex)) > 0])
+                       if (c := num // den + (ci in holders.get(cell, ()))) > 0])
         if sum([c for _pos, c in pairs]) != len(cls.members):
             raise StepInfeasibleError("class assignment does not cover its groups")
         result.append(pairs)

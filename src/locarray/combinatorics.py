@@ -81,20 +81,16 @@ class BoundParams:
     """Derived quantities behind the optimal column count for a given n and v.
 
     f is the near-uniform block size floor((n+1)/v); d is the shortfall
-    (f+1)*v - n, which equals v+1 exactly when n = v-1 (mod v); s and s_prime
-    are the correction sums used by the two branches of the optimal-type
-    construction; columns is the exact optimum for the base variant.
-    dbar_recovers tells whether the d-barred optimum keeps that count (a
-    top-level swap makes up for the shape with an empty class) rather than
-    losing one column.
+    (f+1)*v - n, which equals v+1 exactly when n = v-1 (mod v); columns is
+    the exact optimum for the base variant. dbar_recovers tells whether the
+    d-barred optimum keeps that count (a top-level swap makes up for the
+    shape with an empty class) rather than losing one column.
     """
 
     n: int
     v: int
     f: int
     d: int
-    s: int
-    s_prime: int
     columns: int
     dbar_recovers: bool
 
@@ -113,13 +109,11 @@ def _binomial_prefix(n: int, lo: int, hi: int) -> tuple[int, int, int]:
 
 
 def bound_params(n: int, v: int) -> BoundParams:
-    """BoundParams from c_i = C(n, i) over levels i <= f. With m = f-d+2, columns is
-    the sum of c_i over i < m plus floor(the sum of (f+1-i) c_i over m <= i, over d);
-    s sums (d-f-1+i) c_i over m <= i < f; s_prime sums (v-f+i) c_i over
-    f-v+1 <= i < f-1; dbar_recovers asks d >= f+2 (so m <= 0) and that second sum to
-    leave a residue above f modulo d. As d <= v+1, the levels below
-    lo = max(0, f-v+1) feed only the first sum: one binary split gives it and
-    C(n, lo), and the walk covers levels lo to f, at most v of them.
+    """BoundParams from c_i = C(n, i) over levels i <= f. With m = max(0, f-d+2),
+    columns is the sum of c_i over i < m plus floor(the sum of (f+1-i) c_i over
+    m <= i <= f, over d); dbar_recovers asks d >= f+2 (so m = 0) and that second
+    sum to leave a residue above f modulo d. One binary split gives the first sum
+    and C(n, m), and the walk covers levels m to f, at most d-1 <= v of them.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -127,22 +121,15 @@ def bound_params(n: int, v: int) -> BoundParams:
         raise ValueError(f"need v >= 2, got {v}")
     f = (n + 1) // v
     d = (f + 1) * v - n
-    lo = max(0, f - v + 1)
-    p, q, t = _binomial_prefix(n, 0, lo)
-    c, tail = p // q, t // q  # C(n, i) at i = lo, advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
-    s = s_prime = head = 0
-    for i in range(lo, f + 1):
-        if i >= f - d + 2:
-            head += (f + 1 - i) * c
-            if i < f:
-                s += (d - f - 1 + i) * c
-        else:
-            tail += c
-        if i < f - 1:
-            s_prime += (v - f + i) * c
+    m = max(0, f - d + 2)
+    p, q, t = _binomial_prefix(n, 0, m)
+    c, tail = p // q, t // q  # C(n, i) at i = m, advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
+    head = 0
+    for i in range(m, f + 1):
+        head += (f + 1 - i) * c
         c = c * (n - i) // (i + 1)
     recovers = d >= f + 2 and head % d > f
-    return BoundParams(n, v, f, d, s, s_prime, head // d + tail, recovers)
+    return BoundParams(n, v, f, d, head // d + tail, recovers)
 
 
 def max_columns(n: int, v: int, variant: Variant = VARIANT_11) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import advance, check_realization, init_realization, realize
+from .baranyai import _finish, advance, check_realization, init_realization
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
 from .spread_types import VType, build_variant_type, is_admissible
@@ -58,10 +58,11 @@ def type_realization_failures(t: VType) -> list[str]:
     """Realize one admissible type, checking each step and the result.
 
     The counting invariant must hold after each of the n - 1 advances; in the
-    system realize returns, the blocks must be pairwise distinct and the
-    spreads must have the type's shapes. The padding is every subset no block
-    uses, so the padded system is the powerset, once each, exactly when the
-    blocks are also strictly increasing tuples inside 1..n.
+    spreads that _finish decodes from the stepped state, as realize does, the
+    blocks must be pairwise distinct and the spreads must have the type's
+    shapes. The padding is every subset no block uses, so the padded system is
+    the powerset, once each, exactly when the blocks are also strictly
+    increasing tuples inside 1..n.
     """
     n, v = t.n, t.v
     state = init_realization(t)
@@ -74,7 +75,7 @@ def type_realization_failures(t: VType) -> list[str]:
                 f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
             ]
     fails = []
-    spreads = realize(t, max_n=n).spreads
+    spreads = _finish(state)
     blocks = {b for spread in spreads for b in spread}
     distinct = len(blocks) == sum(map(len, spreads))
     if not distinct:

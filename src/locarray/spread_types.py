@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .combinatorics import VARIANT_11, Variant, bound_params
+from .combinatorics import VARIANT_11, Variant, max_columns
 
 __all__ = [
     "Admissibility",
@@ -177,41 +177,32 @@ def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
     """The admissible v-type of maximum size for the variant, in one O(f) pass.
 
     Bottom-up: C(n, i) copies of the balanced shape with minimum i for every
-    i < f, walking C(n, i) by its ratio, then the top level filled to the
-    remaining size-f capacity; when n = v - 1 (mod v) the top level instead
-    trades pairs of balanced shapes for offset shapes so the capacity works
-    out. If variant.drops_zero_shape(v) the balanced shape with minimum 0
-    goes, and a d-barred type whose dbar_recovers holds makes up for it with
-    one top-level swap. Raises ValueError unless n >= 1 and 2 <= v <= max_symbols(n).
+    i < f, walking C(n, i) by its ratio, less the balanced shape with minimum 0
+    if variant.drops_zero_shape(v). The top level takes up the difference to
+    max_columns: that many balanced shapes with minimum f, or when
+    n = v - 1 (mod v), where the difference is at most 0, as many offset
+    shapes as it falls short, each in place of two balanced shapes with
+    minimum f - 1. Raises ValueError unless n >= 1 and 2 <= v <= max_symbols(n).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     top = variant.max_symbols(n)
     if not 2 <= v <= top:
         raise ValueError(f"need 2 <= v <= {top} for variant {variant.label}; got v={v}, n={n}")
-    p = bound_params(n, v)
-    f = p.f
-    residue = n % v == v - 1
+    f = (n + 1) // v
     shapes: Counter[Shape] = Counter()
     c = 1  # C(n, i), advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)
     for i in range(f):
         shapes[balanced_shape(n, v, i)] += c
         c = c * (n - i) // (i + 1)
-    if not residue:
-        shapes[balanced_shape(n, v, f)] += (c - p.s) // p.d
-    else:
-        offs = -(-p.s_prime // (v + 1))  # ceil
-        shapes[balanced_shape(n, v, f - 1)] -= 2 * offs
-        if offs:
-            shapes[offset_shape(n, v)] += offs
     if variant.drops_zero_shape(v):
         shapes[balanced_shape(n, v, 0)] -= 1
-    if variant.d_barred and p.dbar_recovers:
-        if not residue:
-            shapes[balanced_shape(n, v, f)] += 1
-        else:
-            shapes[offset_shape(n, v)] -= 1
-            shapes[balanced_shape(n, v, f - 1)] += 2
+    spare = max_columns(n, v, variant) - sum(shapes.values())
+    if n % v != v - 1:
+        shapes[balanced_shape(n, v, f)] += spare
+    elif spare:
+        shapes[balanced_shape(n, v, f - 1)] += 2 * spare
+        shapes[offset_shape(n, v)] -= spare
     for shape, count in shapes.items():
         if count < 0:
             raise RuntimeError(f"internal: negative count for {shape} at n={n}, v={v}")

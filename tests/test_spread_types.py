@@ -280,13 +280,18 @@ class TestVariantType:
                         assert all(s.entries[0] >= 1 for s, _ in t.items())
 
     def test_size_equals_the_bound(self):
+        # the size holds by construction; admissibility shows max_columns is reached
         points = [(n, v) for n in range(1, 61) for v in range(2, n + 2)]
         points += [(n, v) for n in range(61, 201) for v in (2, 3, 4, 7)]
         for n, v in points:
             for variant in ALL_VARIANTS:
                 if variant.d_barred and v > n:
                     continue
-                assert build_variant_type(n, v, variant).size() == max_columns(n, v, variant)
+                t = build_variant_type(n, v, variant)
+                assert t.size() == max_columns(n, v, variant)
+                assert is_admissible(t), (n, v, variant.label)
+                if variant.d_barred:
+                    assert all(s.entries[0] >= 1 for s, _ in t.items()), (n, v, variant.label)
 
     def test_symbol_range(self):
         for n in range(1, 61):
