@@ -63,20 +63,10 @@ class StepInfeasibleError(RuntimeError):
     """The per-step assignment has no solution; indicates a corrupted state."""
 
 
-def encode_slot(n: int, block: Block, target: int) -> int:
-    """One block and its target size as a single int: a slot of the realization state.
-
-    In base n + 1: the block's elements, most significant first and padded with
-    zeros to n digits, then its size, then the target. Integer order on slots
-    is (block, target) order, and an empty block's slot is its target.
-    """
-    base = n + 1
-    digits = sum(e * base ** (n - 1 - i) for i, e in enumerate(block))
-    return (digits * base + len(block)) * base + target
-
-
 def decode_slot(n: int, slot: int) -> tuple[Block, int]:
-    """The (block, target) pair a slot encodes."""
+    """The (block, target) pair a slot encodes: in base n + 1, the block's elements, most
+    significant first and padded with zeros to n digits, then its size, then the target.
+    Integer order on slots is (block, target) order; an empty block's slot is its target."""
     base = n + 1
     rest, target = divmod(slot, base)
     digits, size = divmod(rest, base)

@@ -1,11 +1,25 @@
 """Shared helpers for the test suite: seeded random generators for arrays and types,
-hand-built realization states, and the padding of a spread system."""
+the reference slot encoder, hand-built realization states, the padding of a
+spread system, and cached engine walks and realizations, so each type is stepped
+and realized once."""
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
-from locarray import Shape, TestArray, VType
-from locarray.baranyai import RealizationState
+import pytest
+
+from locarray import Shape, TestArray, VType, realize
+from locarray import baranyai
+from locarray.baranyai import (
+    RealizationState,
+    SpreadSystem,
+    StepNetwork,
+    advance,
+    build_step_network,
+    init_realization,
+    integral_step_assignment,
+)
 from locarray.combinatorics import binomial
 
 
@@ -45,6 +59,107 @@ def padding_blocks(system) -> list[tuple[int, ...]]:
             for blk in combinations(range(1, system.n + 1), size) if blk not in used]
 
 
+def encode_slot(n: int, block, target: int) -> int:
+    """One block and its target size as a single int, as the realization state holds it.
+
+    In base n + 1: the block's elements, most significant first and padded with
+    zeros to n digits, then its size, then the target (see baranyai.decode_slot).
+    """
+    base = n + 1
+    digits = sum(e * base ** (n - 1 - i) for i, e in enumerate(block))
+    return (digits * base + len(block)) * base + target
+
+
 def state_of_groups(n, tau, groups) -> RealizationState:
     """A hand-built realization state: one run of one group per given slot tuple, in index order."""
     return RealizationState(n, tau, tuple((slots, gi, 1) for gi, slots in enumerate(groups)))
+
+
+class Step(NamedTuple):
+    """One call of advance: the state it started from, the network and the assignment it used."""
+
+    state: RealizationState
+    network: StepNetwork | None  # None, as the assignment, in a walk that keeps states only
+    assignment: tuple | None
+
+
+class Trajectory(NamedTuple):
+    steps: tuple[Step, ...]
+    final: RealizationState  # after all n steps
+
+
+class Realized(NamedTuple):
+    system: SpreadSystem
+    builds: int  # step networks realize built
+
+
+# A walk of more groups keeps its states only. The networks of (16, 2)'s 32768
+# groups would hold about 50 MiB, and no test compares networks that large.
+MAX_GROUPS_WITH_NETWORKS = 2 ** 13
+
+# by type key; every record is immutable, so the tests that read one share it
+_trajectories: dict = {}
+_realized: dict = {}
+
+
+def _key(t: VType):
+    return t.n, t.v, tuple(t.items())
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_trajectories():
+    """A test module's walks go when it ends: their readers share one module, and kept
+    longer their named tuples, which the garbage collector never untracks, slow every
+    later full collection."""
+    yield
+    _trajectories.clear()
+
+
+def trajectory(t: VType) -> Trajectory:
+    """advance stepped n times from init_realization(t), once per type in a test module.
+
+    Each step records the network and the assignment advance itself used: the
+    engine's two calls are wrapped while it runs, and each step must make one
+    build and one rounding of the network it just built.
+    """
+    key = _key(t)
+    if key not in _trajectories:
+        nets, assignments = [], []
+
+        def build(state):
+            nets.append(build_step_network(state))
+            return nets[-1]
+
+        def rounding(net):
+            assert net is nets[-1], "the rounding got a network the step did not build"
+            assignments.append(integral_step_assignment(net))
+            return assignments[-1]
+
+        states = [init_realization(t)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baranyai, "build_step_network", build)
+            patch.setattr(baranyai, "integral_step_assignment", rounding)
+            for tau in range(1, t.n + 1):
+                states.append(advance(states[-1]))
+                assert len(nets) == len(assignments) == tau, (t, tau)
+        if t.size() > MAX_GROUPS_WITH_NETWORKS:
+            nets = assignments = [None] * t.n
+        _trajectories[key] = Trajectory(tuple(map(Step, states, nets, assignments)), states[-1])
+    return _trajectories[key]
+
+
+def realized(t: VType) -> Realized:
+    """realize(t), once per type in the session, with the number of step networks it built."""
+    key = _key(t)
+    if key not in _realized:
+        builds = []
+
+        def build(state):
+            builds.append(None)
+            return build_step_network(state)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baranyai, "build_step_network", build)
+            system = realize(t)
+        _realized[key] = Realized(system, len(builds))
+    return _realized[key]

@@ -28,7 +28,7 @@ from locarray import (
 from locarray.combinatorics import inequality_failures
 from locarray.formats import format_array, format_spread_system
 from locarray.selfcheck import formula_failures, oracle_failures, type_realization_failures
-from conftest import random_admissible_type
+from conftest import random_admissible_type, realized
 
 
 def _report(name):
@@ -100,7 +100,7 @@ def test_end_to_end_generation():
                 arr = generate_la(n, v, variant)
                 assert arr.k == k, (n, v, variant.label)
                 assert verify_la(arr, variant), (n, v, variant.label)
-                system = realize(build_variant_type(n, v, variant))
+                system = realized(build_variant_type(n, v, variant)).system
                 # each spread lists its blocks in the order spreads_to_array gives out symbols
                 assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b))
                            for sp in system.spreads), (n, v, variant.label)

@@ -12,7 +12,6 @@ from locarray import (
     build_variant_type,
     realize,
 )
-from locarray import baranyai
 from locarray.baranyai import (
     Cell,
     ClassNode,
@@ -25,13 +24,19 @@ from locarray.baranyai import (
     build_step_network,
     check_realization,
     decode_slot,
-    encode_slot,
     init_realization,
     integral_step_assignment,
 )
 from locarray.combinatorics import binomial
 from locarray.spread_types import InadmissibleTypeError, make_full
-from conftest import padding_blocks, random_admissible_type, state_of_groups
+from conftest import (
+    encode_slot,
+    padding_blocks,
+    random_admissible_type,
+    realized,
+    state_of_groups,
+    trajectory,
+)
 
 
 def pair_type(n=2):
@@ -128,8 +133,8 @@ class TestRunInvariant:
 
     @staticmethod
     def assert_runs_hold(t):
-        state = init_realization(t)
-        while True:
+        walk = trajectory(t)
+        for state in [step.state for step in walk.steps] + [walk.final]:
             spans = sorted((first, count) for _slots, first, count in state.runs)
             end = 0
             for first, count in spans:
@@ -139,9 +144,6 @@ class TestRunInvariant:
             keys = [sorted(slots) for slots, _first, _count in state.runs]
             assert all(a < b for a, b in zip(keys, keys[1:])), (t, state.tau)
             assert check_realization(state), (t, state.tau)
-            if state.tau == t.n:
-                break
-            state = advance(state)
 
     def test_every_variant_up_to_twelve_points(self):
         for n in range(1, 13):
@@ -224,12 +226,9 @@ class TestStepAssignmentAgainstReference:
 
     @staticmethod
     def assert_same_choices(t):
-        state = init_realization(t)
-        for _ in range(t.n):
-            net = build_step_network(state)
-            got = expand_choices(net, integral_step_assignment(net))
-            assert got == reference_step_assignment(net), (t, state.tau)
-            state = advance(state)
+        for step in trajectory(t).steps:
+            got = expand_choices(step.network, step.assignment)
+            assert got == reference_step_assignment(step.network), (t, step.state.tau)
 
     def test_every_variant_up_to_twelve_points(self):
         for n in range(1, 13):
@@ -419,34 +418,27 @@ class TestFinish:
     """realize steps n - 1 times, builds the forced last network, then adds n in its decode walk."""
 
     @staticmethod
-    def assert_same_as_stepping(t, monkeypatch):
-        nets = []
+    def assert_same_as_stepping(t):
+        got = realized(t)
+        assert got.builds == t.n, t  # one network per element, the forced last one included
+        assert got.system == decoded_system(trajectory(t).final), t
+        return got.system
 
-        def counted(state):
-            nets.append(build_step_network(state))
-            return nets[-1]
-
-        monkeypatch.setattr(baranyai, "build_step_network", counted)
-        got = realize(t)
-        assert len(nets) == t.n, t  # one network per element, the forced last one included
-        assert got == realize_by_stepping(t), t
-        return got
-
-    def test_every_variant_up_to_twelve_points(self, monkeypatch):
+    def test_every_variant_up_to_twelve_points(self):
         for n in range(1, 13):
             for variant in ALL_VARIANTS:
                 for v in range(2, variant.max_symbols(n) + 1):
-                    self.assert_same_as_stepping(build_variant_type(n, v, variant), monkeypatch)
+                    self.assert_same_as_stepping(build_variant_type(n, v, variant))
 
-    def test_sixteen_points(self, monkeypatch):
-        system = self.assert_same_as_stepping(build_variant_type(16, 2), monkeypatch)
+    def test_sixteen_points(self):
+        system = self.assert_same_as_stepping(build_variant_type(16, 2))
         # blocks come in (size, elements) order, the order spreads_to_array gives out symbols
         assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b)) for sp in system.spreads)
 
-    def test_random_types(self, monkeypatch):
+    def test_random_types(self):
         rng = random.Random(29)
         for _ in range(60):
-            self.assert_same_as_stepping(random_admissible_type(rng, max_n=9), monkeypatch)
+            self.assert_same_as_stepping(random_admissible_type(rng, max_n=9))
 
     def test_forced_step_of_a_small_type(self):
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
@@ -481,13 +473,10 @@ class TestFinish:
 # -- helpers ---------------------------------------------------------------
 
 
-def realize_by_stepping(t):
-    """The requested system after n full steps, each final slot decoded, groups in index order."""
-    state = init_realization(t)
-    for _ in range(t.n):
-        state = advance(state)
-    return SpreadSystem(t.n, tuple(tuple(decode_slot(t.n, s)[0] for s in slots)
-                                   for slots in state.groups))
+def decoded_system(state):
+    """The requested system a final state holds: each slot decoded, groups in index order."""
+    return SpreadSystem(state.n, tuple(tuple(decode_slot(state.n, s)[0] for s in slots)
+                                       for slots in state.groups))
 
 
 def step_choice_vector(state):

@@ -6,7 +6,8 @@ pytest.importorskip("hypothesis")  # an optional test dependency (pyproject.toml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from locarray.baranyai import decode_slot, encode_slot, slot_increments
+from locarray.baranyai import decode_slot, slot_increments
+from conftest import encode_slot
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 

@@ -202,14 +202,6 @@ class TestOptimalType:
         with pytest.raises(ValueError):
             build_variant_type(4, 6)
 
-    def test_size_and_admissibility_sweep(self):
-        for n in range(2, 13):
-            for v in range(2, n + 2):
-                t = build_variant_type(n, v)
-                assert all(len(shape) == v for shape, _ in t.items())
-                assert t.size() == max_columns(n, v)
-                assert is_admissible(t)
-
     def test_every_shape_has_defect_at_least_d(self):
         for n in range(2, 13):
             for v in range(2, n + 2):
@@ -266,18 +258,6 @@ class TestVariantType:
             build_variant_type(4, 5, VARIANT_BAR1_1)
         with pytest.raises(ValueError):
             build_variant_type(4, 6, VARIANT_1_BAR1)
-
-    def test_sweep_sizes_admissibility_and_positivity(self):
-        for n in range(2, 13):
-            for v in range(2, n + 2):
-                for variant in ALL_VARIANTS:
-                    if variant.d_barred and v > n:
-                        continue
-                    t = build_variant_type(n, v, variant)
-                    assert t.size() == max_columns(n, v, variant)
-                    assert is_admissible(t)
-                    if variant.d_barred:
-                        assert all(s.entries[0] >= 1 for s, _ in t.items())
 
     def test_size_equals_the_bound(self):
         # the size holds by construction; admissibility shows max_columns is reached
