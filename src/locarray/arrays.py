@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import and_, or_
 
-from .baranyai import DEFAULT_MAX_N, SpreadSystem, realize
+from .baranyai import DEFAULT_MAX_N, realize
 from .combinatorics import VARIANT_11, Variant, max_columns
+from .spread_systems import SpreadSystem
 from .spread_types import build_variant_type
 
 __all__ = [
@@ -176,28 +177,10 @@ def verify_da11(arr: TestArray) -> Verdict:
 
 
 def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
-    """One column per spread; a spread's blocks take symbols 0..v-1 in list order.
-
-    Every spread must consist of exactly v blocks that partition {1..n},
-    with at most one of them empty.
-    """
-    n = system.n
-    cols: list[list[int]] = []
-    for si, blocks in enumerate(system.spreads, start=1):
-        if len(blocks) != v:
-            raise ValueError(f"spread {si} has {len(blocks)} blocks, expected {v}")
-        if sum(1 for b in blocks if not b) > 1:
-            raise ValueError(f"spread {si} has more than one empty block")
-        col = [-1] * n
-        for sym, b in enumerate(blocks):
-            for e in b:
-                if not 1 <= e <= n or col[e - 1] >= 0:  # outside 1..n, or placed twice
-                    raise ValueError(f"spread {si} does not partition 1..{n}")
-                col[e - 1] = sym
-        if sum(map(len, blocks)) != n:  # n distinct elements of 1..n: all of them
-            raise ValueError(f"spread {si} does not partition 1..{n}")
-        cols.append(col)
-    return TestArray(tuple(zip(*cols)) if cols else ((),) * n, v)
+    """One column per spread; a spread's blocks take symbols 0..v-1 in list order."""
+    if system.v != v:
+        raise ValueError(f"the spreads have {system.v} blocks, expected {v}")
+    return TestArray(system.rows, v)
 
 
 def generate_la(

@@ -13,7 +13,7 @@ aggregated arc exists because the constraint matrix is a network matrix. It is
 found by flooring and routing the leftovers along augmenting paths: to cells
 below their lower bound first, then to any cell below its upper bound. The
 last step is forced (den = 1: each open block takes n); its network is built
-for the bound checks only, and n joins the blocks in the final decode walk.
+for the bound checks only. Each step writes the element's row of the array.
 
 The state holds one run of consecutive, identical groups per class of groups
 with the same slot multiset, and runs only split: each group gets the element
@@ -36,12 +36,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .combinatorics import binomial
+from .spread_systems import Row, SpreadSystem, new_row
 from .spread_types import VType, make_full
 
 __all__ = [
     "DEFAULT_MAX_N",
     "CapExceededError",
-    "SpreadSystem",
     "StepInfeasibleError",
     "advance",
     "check_realization",
@@ -77,20 +77,29 @@ def decode_slot(n: int, slot: int) -> tuple[Block, int]:
     return tuple(block), target
 
 
-def slot_increments(n: int) -> tuple[tuple[int, ...], ...]:
-    """inc[e][s]: what placing element e into a block of size s adds to its slot."""
+def slot_increments(n: int, e: int) -> tuple[int, ...]:
+    """inc[s]: what placing element e into a block of size s adds to its slot."""
     base = n + 1
-    return tuple(tuple(e * base ** (n + 1 - s) + base for s in range(n)) for e in range(n + 1))
+    return tuple(e * base ** (n + 1 - s) + base for s in range(n))
+
+
+def _blank_row(runs) -> tuple[Row, list[Row]]:
+    """A zero block position per group of the runs, and per position a one-entry row."""
+    v = len(runs[0][0]) if runs else 0
+    units = [new_row(v, (pos,)) for pos in range(v)]
+    return new_row(v, bytes(sum([count for _slots, _first, count in runs]))), units
 
 
 class RealizationState(NamedTuple):
     """After placing elements 1..tau: runs (slots, first, count), ordered by sorted slots.
 
-    Groups first to first + count - 1 each hold slots: one int per block, in shape order."""
+    Groups first to first + count - 1 each hold slots: one int per block, in shape order;
+    rows[e - 1][g] is the position in group g of the block holding e."""
 
     n: int
     tau: int
     runs: tuple[tuple[tuple[int, ...], int, int], ...]
+    rows: tuple[Row, ...]
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
@@ -153,7 +162,7 @@ def init_realization(t: VType) -> RealizationState:
     for shape, count in make_full(t).items():
         runs.append((shape.entries, first, count))  # the slot of an empty block is its target
         first += count
-    return RealizationState(t.n, 0, tuple(sorted(runs)))
+    return RealizationState(t.n, 0, tuple(sorted(runs)), ())
 
 
 def check_realization(state: RealizationState) -> RealizationCheck:
@@ -192,22 +201,22 @@ def build_step_network(state: RealizationState) -> StepNetwork:
             counts[s] = counts.get(s, 0) + count
     choose = [binomial(den - 1, j) for j in range(n + 1)]
     cells: list[Cell] = []
-    open_cell: dict[int, tuple[int, int]] = {}  # slot -> (cell index, elements it still needs)
+    open_cell: dict[int, int] = {}  # slot -> cell index, need recomputed: the step peaks here
     for s in sorted(counts):
         need = s % base - s // base % base
         if need > 0:  # target above size: the block is open
             low, high = counts[s] - choose[need], choose[need - 1]
             if low > high:
                 raise ValueError("not a realization state: a cell holds more blocks than it may")
-            open_cell[s] = (len(cells), need)
+            open_cell[s] = len(cells)
             cells.append(Cell(s, low, high))
     classes: list[ClassNode] = []
     for slots, first, count in state.runs:
         arcs = []
         for s in sorted(set(slots)):  # one arc per distinct open slot, in cell order
             if s in open_cell:
-                ci, need = open_cell[s]
-                arcs.append((ci, count * slots.count(s) * need, slots.index(s)))
+                need = s % base - s // base % base
+                arcs.append((open_cell[s], count * slots.count(s) * need, slots.index(s)))
         if count * den != sum([num for _ci, num, _pos in arcs]):
             raise ValueError("not a realization state: open slots and remaining elements differ")
         classes.append(ClassNode(range(first, first + count), tuple(arcs), 0))
@@ -304,47 +313,39 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
 
 
 def advance(state: RealizationState) -> RealizationState:
-    """Place element tau + 1: each run splits into one run per cell its class took."""
+    """Place element tau + 1: each run splits into one run per cell its class took, and
+    the element's row takes each child run's block position."""
     assignment = integral_step_assignment(build_step_network(state))
     n, elem = state.n, state.tau + 1
-    base, inc = n + 1, slot_increments(n)[elem]
-    runs = []
+    base, inc = n + 1, slot_increments(n, elem)
+    (row, units), runs = _blank_row(state.runs), []
     for (slots, first, _count), pairs in zip(state.runs, assignment):
         for pos, count in pairs:
             s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
             child = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
             runs.append((child, first, count))
+            row[first:first + count] = units[pos] * count
             first += count
     runs.sort(key=lambda run: sorted(run[0]))
-    return RealizationState(n, elem, tuple(runs))
+    return RealizationState(n, elem, tuple(runs), state.rows + (row,))
 
 
-@dataclass(frozen=True)
-class SpreadSystem:
-    """Spreads of 1..n. realize lists each one's blocks in (size, elements) order;
-    spreads_to_array gives block i of a spread symbol i."""
-    n: int
-    spreads: tuple[tuple[Block, ...], ...]  # one tuple of blocks per spread
-
-
-def _finish(state: RealizationState) -> list[tuple[Block, ...]]:
-    """At tau = n - 1, add n to every open block and decode the runs, in group order.
+def _finish(state: RealizationState) -> tuple[Row, ...]:
+    """At tau = n - 1, give n to every open block: the rows of all n elements.
 
     The last network's bounds let an open slot occur once in all and need one
     element, and a group hold exactly one; it is built for those checks only.
     """
-    n, base, inc, spreads = state.n, state.n + 1, slot_increments(state.n)[state.n], []
+    base = state.n + 1
     open_slots = {cell.slot for cell in build_step_network(state).cells}
-    for slots, _first, count in sorted(state.runs, key=lambda run: run[1]):
-        blocks = []
-        for s in slots:
+    row, units = _blank_row(state.runs)
+    for slots, first, count in state.runs:
+        for pos, s in enumerate(slots):
             if s in open_slots:
-                s += inc[s // base % base]
+                row[first:first + count] = units[pos] * count
             elif s % base != s // base % base:
                 raise StepInfeasibleError("internal: a block missed its target size")
-            blocks.append(decode_slot(n, s)[0])
-        spreads += [tuple(blocks)] * count
-    return spreads
+    return state.rows + (row,)
 
 
 def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
@@ -354,7 +355,7 @@ def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     requested shape becomes a spread partitioning 1..n with the shape's block
     sizes exactly, and no block (as a set) occurs twice anywhere in the system.
     Elements 1..n-1 go through advance; the last step builds its network for
-    the bound checks, then finishes in the walk that decodes the runs.
+    the bound checks, then writes n's row from the open slots.
     Spreads come in the order of the type's shapes, and identical inputs
     produce identical systems.
     """
@@ -364,4 +365,4 @@ def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     state = init_realization(t)
     for _ in range(n - 1):
         state = advance(state)
-    return SpreadSystem(n, tuple(_finish(state)))
+    return SpreadSystem(n, t.v, _finish(state))

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 
 from .arrays import TestArray
-from .baranyai import SpreadSystem
 from .combinatorics import Variant
+from .spread_systems import SpreadSystem
 from .spread_types import Shape, VType
 
 __all__ = [
@@ -116,11 +116,12 @@ def _block_text(block: tuple[int, ...]) -> str:
 
 
 def format_spread_system(system: SpreadSystem, fmt: str = "text") -> str:
+    spreads = system.spreads  # derived from the rows at each read
     if fmt == "json":
-        doc = {"n": system.n, "spreads": [[list(b) for b in sp] for sp in system.spreads]}
+        doc = {"n": system.n, "spreads": [[list(b) for b in sp] for sp in spreads]}
         return _json(doc)
-    lines = [f"N {system.n}", f"spreads {len(system.spreads)}"]
-    lines += [" ".join(_block_text(b) for b in sp) for sp in system.spreads]
+    lines = [f"N {system.n}", f"spreads {len(spreads)}"]
+    lines += [" ".join(_block_text(b) for b in sp) for sp in spreads]
     return "\n".join(lines) + "\n"
 
 
@@ -133,9 +134,9 @@ def format_array(arr: TestArray, fmt: str = "text") -> str:
             "rows": [list(r) for r in arr.rows],
         }
         return _json(doc)
+    names = [str(s) for s in range(arr.v)]
     lines = [f"{arr.n_rows} {arr.k} {arr.v}"]
-    for r in arr.rows:
-        lines.append(" ".join(str(a) for a in r))
+    lines += [" ".join(map(names.__getitem__, r)) for r in arr.rows]
     return "\n".join(lines) + "\n"
 
 

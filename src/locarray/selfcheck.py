@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import _finish, advance, check_realization, init_realization
+from .baranyai import _finish, advance, check_realization, decode_slot, init_realization
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
+from .spread_systems import SpreadSystem
 from .spread_types import VType, build_variant_type, is_admissible
 
 __all__ = [
@@ -58,11 +59,11 @@ def type_realization_failures(t: VType) -> list[str]:
     """Realize one admissible type, checking each step and the result.
 
     The counting invariant must hold after each of the n - 1 advances; in the
-    spreads that _finish decodes from the stepped state, as realize does, the
-    blocks must be pairwise distinct and the spreads must have the type's
-    shapes. The padding is every subset no block uses, so the padded system is
-    the powerset, once each, exactly when the blocks are also strictly
-    increasing tuples inside 1..n.
+    spreads decoded from the forced n-th advance, the blocks must be pairwise
+    distinct and the spreads must have the type's shapes. The padding is every
+    subset no block uses, so the padded system is the powerset, once each,
+    exactly when the blocks are also strictly increasing tuples inside 1..n.
+    Then those spreads must give the rows _finish writes, as realize does.
     """
     n, v = t.n, t.v
     state = init_realization(t)
@@ -75,7 +76,10 @@ def type_realization_failures(t: VType) -> list[str]:
                 f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
             ]
     fails = []
-    spreads = _finish(state)
+    rows = _finish(state)
+    spreads = [tuple(decode_slot(n, s)[0] for s in slots)
+               for slots, _first, count in sorted(advance(state).runs, key=lambda run: run[1])
+               for _ in range(count)]
     blocks = {b for spread in spreads for b in spread}
     distinct = len(blocks) == sum(map(len, spreads))
     if not distinct:
@@ -86,6 +90,11 @@ def type_realization_failures(t: VType) -> list[str]:
     ground = set(range(1, n + 1))
     if not distinct or any(sorted(ground.intersection(b)) != list(b) for b in blocks):
         fails.append(f"padded system is not the powerset at n={n}, v={v}")
+    try:
+        if not fails and SpreadSystem.from_spreads(n, v, spreads).rows != rows:
+            fails.append(f"rows differ from the decoded blocks at n={n}, v={v}")
+    except ValueError as err:  # a spread that does not partition 1..n
+        fails.append(f"{err} at n={n}, v={v}")
     return fails
 
 

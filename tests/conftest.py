@@ -13,7 +13,6 @@ from locarray import Shape, TestArray, VType, realize
 from locarray import baranyai
 from locarray.baranyai import (
     RealizationState,
-    SpreadSystem,
     StepNetwork,
     advance,
     build_step_network,
@@ -21,6 +20,7 @@ from locarray.baranyai import (
     integral_step_assignment,
 )
 from locarray.combinatorics import binomial
+from locarray.spread_systems import SpreadSystem
 
 
 def random_array(rng: random.Random, max_rows=6, max_cols=6, max_symbols=4) -> TestArray:
@@ -71,8 +71,9 @@ def encode_slot(n: int, block, target: int) -> int:
 
 
 def state_of_groups(n, tau, groups) -> RealizationState:
-    """A hand-built realization state: one run of one group per given slot tuple, in index order."""
-    return RealizationState(n, tau, tuple((slots, gi, 1) for gi, slots in enumerate(groups)))
+    """A hand-built realization state: one run of one group per given slot tuple, in index
+    order, and no rows, which the checks these states are built for never read."""
+    return RealizationState(n, tau, tuple((slots, gi, 1) for gi, slots in enumerate(groups)), ())
 
 
 class Step(NamedTuple):

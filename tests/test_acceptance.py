@@ -83,6 +83,13 @@ LARGE_SHA256 = {
     (16, 2): "b652f7595ebba784d6a9464a9287706f8479a2ae1ce9f6e1c1606f73b997cf10",
 }
 
+# sha256 of format_spread_system(realize(build_variant_type(16, v))).
+SYSTEM16_SHA256 = {
+    2: "7fc081350d986debb47a70ec5d9c58e5489f00e8b5ce73e4b00206f3fce128dc",
+    3: "14e703a2c9e5ed4010bad8b877072548b3e28e840d8b0a0f3103327866093c86",
+    4: "824b52b7f9c25ae814a82631486a3c1b718d67c0ada7c33886837b5c604f0a71",
+}
+
 
 def test_end_to_end_generation():
     start = time.time()
@@ -112,6 +119,15 @@ def test_end_to_end_generation():
         assert hashlib.sha256(doc.encode()).hexdigest() == want, (n, v)
     assert time.time() - start < 300.0
     _report("end-to-end generation: 10x116 verified both ways; n <= 12 sweep exact; bytes pinned")
+
+
+def test_sixteen_point_systems():
+    start = time.time()
+    for v, want in SYSTEM16_SHA256.items():
+        doc = format_spread_system(realized(build_variant_type(16, v)).system)
+        assert hashlib.sha256(doc.encode()).hexdigest() == want, v
+    assert time.time() - start < 60.0
+    _report("n = 16 spread systems for v = 2, 3, 4: bytes pinned")
 
 
 def test_pair_partition_special_case():

@@ -22,7 +22,7 @@ from locarray import (
     verify_la,
 )
 from locarray.arrays import _class_folds, _class_forms
-from locarray.baranyai import SpreadSystem
+from locarray.spread_systems import SpreadSystem
 from conftest import random_array
 
 # the canonical optimal 3x4 array on two symbols
@@ -54,33 +54,36 @@ class TestTestArray:
 
 
 class TestSpreadsToArray:
+    """The array of a spread system, and the checks SpreadSystem.from_spreads makes of
+    blocks built outside the engine."""
+
     def test_small_pipeline(self):
         system = realize(build_variant_type(3, 2))
         assert spreads_to_array(system, 2) == ARR34
 
     def test_identity_column(self):
-        system = SpreadSystem(3, (((1,), (2,), (3,)),))
+        system = SpreadSystem.from_spreads(3, 3, (((1,), (2,), (3,)),))
         arr = spreads_to_array(system, 3)
         assert arr.rows == ((0,), (1,), (2,))
 
     def test_blocks_take_symbols_in_list_order(self):
-        arr = spreads_to_array(SpreadSystem(3, (((2, 3), (1,)),)), 2)
+        arr = spreads_to_array(SpreadSystem.from_spreads(3, 2, (((2, 3), (1,)),)), 2)
         assert arr.rows == ((1,), (0,), (0,))
 
     def test_overlapping_blocks_rejected(self):
-        system = SpreadSystem(3, (((1, 2), (2,)),))
-        with pytest.raises(ValueError):
-            spreads_to_array(system, 2)
+        with pytest.raises(ValueError, match="spread 1 does not partition 1..3"):
+            SpreadSystem.from_spreads(3, 2, (((1, 2), (2,)),))
 
     def test_wrong_block_count_rejected(self):
-        system = SpreadSystem(3, (((1, 2, 3),),))
-        with pytest.raises(ValueError):
-            spreads_to_array(system, 2)
+        with pytest.raises(ValueError, match="spread 1 has 1 blocks, expected 2"):
+            SpreadSystem.from_spreads(3, 2, (((1, 2, 3),),))
+        # a system of v blocks per spread makes an array on v symbols only
+        with pytest.raises(ValueError, match="the spreads have 2 blocks, expected 3"):
+            spreads_to_array(realize(build_variant_type(3, 2)), 3)
 
     def test_two_empty_blocks_rejected(self):
-        system = SpreadSystem(2, (((), (), (1, 2)),))
-        with pytest.raises(ValueError):
-            spreads_to_array(system, 3)
+        with pytest.raises(ValueError, match="spread 1 has more than one empty block"):
+            SpreadSystem.from_spreads(2, 3, (((), (), (1, 2)),))
 
     @pytest.mark.parametrize("n, blocks", [
         (3, ((0, 1), (2, 3))),  # element 0
@@ -89,12 +92,11 @@ class TestSpreadsToArray:
         (3, ((1,), (3,))),  # element 2 missing
     ])
     def test_blocks_that_do_not_partition_are_rejected(self, n, blocks):
-        system = SpreadSystem(n, (blocks,))
         with pytest.raises(ValueError, match="spread 1 does not partition 1..3"):
-            spreads_to_array(system, 2)
+            SpreadSystem.from_spreads(n, 2, (blocks,))
 
     def test_no_spreads_give_empty_rows(self):
-        arr = spreads_to_array(SpreadSystem(3, ()), 2)
+        arr = spreads_to_array(SpreadSystem.from_spreads(3, 2, ()), 2)
         assert arr.rows == ((), (), ()) and arr.k == 0
 
     def test_round_trip_with_partitions(self):

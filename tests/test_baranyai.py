@@ -16,7 +16,6 @@ from locarray.baranyai import (
     Cell,
     ClassNode,
     RealizationState,
-    SpreadSystem,
     StepInfeasibleError,
     StepNetwork,
     _finish,
@@ -28,6 +27,7 @@ from locarray.baranyai import (
     integral_step_assignment,
 )
 from locarray.combinatorics import binomial
+from locarray.spread_systems import SpreadSystem
 from locarray.spread_types import InadmissibleTypeError, make_full
 from conftest import (
     encode_slot,
@@ -156,6 +156,26 @@ class TestRunInvariant:
             self.assert_runs_hold(build_variant_type(16, v))
 
 
+class TestRows:
+    """Each step's row holds, per group, the position of the block that took its element."""
+
+    @staticmethod
+    def assert_rows_match_the_slots(t):
+        walk = trajectory(t)
+        for state in [step.state for step in walk.steps] + [walk.final]:
+            assert [list(row) for row in state.rows] == decoded_rows(state), (t, state.tau)
+
+    def test_every_variant_up_to_twelve_points(self):
+        for n in range(1, 13):
+            for variant in ALL_VARIANTS:
+                for v in range(2, variant.max_symbols(n) + 1):
+                    self.assert_rows_match_the_slots(build_variant_type(n, v, variant))
+
+    def test_sixteen_points(self):
+        for v in (2, 3, 4):
+            self.assert_rows_match_the_slots(build_variant_type(16, v))
+
+
 class TestCheckRealization:
     def test_mutated_block_is_caught(self):
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
@@ -184,7 +204,7 @@ class TestCheckRealization:
         # one run of two identical groups over-counts as the two groups listed apart do
         state = advance(init_realization(VType(3, 2, {Shape((1, 2)): 1})))
         ((slots, _first, _count),) = state.runs
-        verdict = check_realization(RealizationState(state.n, state.tau, ((slots, 0, 2),)))
+        verdict = check_realization(RealizationState(state.n, state.tau, ((slots, 0, 2),), ()))
         assert not verdict
         assert verdict == check_realization(state_of_groups(state.n, state.tau, (slots, slots)))
 
@@ -415,13 +435,13 @@ class TestRealize:
 
 
 class TestFinish:
-    """realize steps n - 1 times, builds the forced last network, then adds n in its decode walk."""
+    """realize steps n - 1 times, builds the forced last network, then writes n's row."""
 
     @staticmethod
     def assert_same_as_stepping(t):
         got = realized(t)
         assert got.builds == t.n, t  # one network per element, the forced last one included
-        assert got.system == decoded_system(trajectory(t).final), t
+        assert got.system == decoded_system(t.v, trajectory(t).final), t
         return got.system
 
     def test_every_variant_up_to_twelve_points(self):
@@ -443,7 +463,9 @@ class TestFinish:
     def test_forced_step_of_a_small_type(self):
         state = init_realization(VType(3, 2, {Shape((1, 2)): 1}))
         state = advance(advance(state))
-        assert _finish(state) == [((1,), (2, 3))]
+        rows = _finish(state)
+        assert [list(row) for row in rows] == [[0], [1], [1]]
+        assert SpreadSystem(3, 2, rows).spreads == (((1,), (2, 3)),)
 
     @pytest.mark.parametrize("groups, message", [
         # two groups share the open slot ({1}, 2)
@@ -473,10 +495,20 @@ class TestFinish:
 # -- helpers ---------------------------------------------------------------
 
 
-def decoded_system(state):
+def decoded_system(v, state):
     """The requested system a final state holds: each slot decoded, groups in index order."""
-    return SpreadSystem(state.n, tuple(tuple(decode_slot(state.n, s)[0] for s in slots)
-                                       for slots in state.groups))
+    return SpreadSystem.from_spreads(state.n, v, [tuple(decode_slot(state.n, s)[0] for s in slots)
+                                                  for slots in state.groups])
+
+
+def decoded_rows(state):
+    """Per placed element, per group: the position of the decoded block that holds it."""
+    rows = [[None] * sum(count for _slots, _first, count in state.runs) for _ in range(state.tau)]
+    for slots, first, count in state.runs:
+        for pos, s in enumerate(slots):
+            for e in decode_slot(state.n, s)[0]:
+                rows[e - 1][first:first + count] = [pos] * count
+    return rows
 
 
 def step_choice_vector(state):

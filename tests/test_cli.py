@@ -2,7 +2,7 @@ import io
 import json
 import sys
 
-from locarray import cli, max_columns
+from locarray import cli, max_columns, verify_la
 from locarray.formats import parse_array, parse_type
 
 
@@ -128,6 +128,16 @@ class TestTypeRealizeGenerate:
         code2, out2, _ = run(["generate", "--N", "6", "--v", "3"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_generate_past_the_cap_with_symbols_above_255(self, capsys):
+        # one column of 256 singletons and an empty block: symbols run to 256,
+        # past one byte, and the slot increments stay quadratic in n
+        code, out, _ = run(["generate", "--N", "256", "--v", "257", "--cap-n", "256"], capsys)
+        assert code == 0
+        arr = parse_array(out)
+        assert (arr.n_rows, arr.k, arr.v) == (256, 1, 257)
+        assert max(row[0] for row in arr.rows) >= 256
+        assert verify_la(arr)
 
     def test_no_rows_names_n_for_every_command(self, capsys):
         # v = 2 is in range for every n >= 1, so only n can be at fault

@@ -1,6 +1,7 @@
 """Property tests of the document formats: round trips and fuzzed input."""
 
 import json
+import random
 
 import pytest
 
@@ -105,3 +106,10 @@ class TestFuzz:
             parse_type(text)
         except ValueError:
             pass
+
+
+def test_two_digit_symbols_are_written_as_str_writes_them():
+    rng = random.Random(12)
+    arr = TestArray(tuple(tuple(rng.randrange(12) for _ in range(30)) for _ in range(11)), 12)
+    want = "11 30 12\n" + "".join(" ".join(str(a) for a in row) + "\n" for row in arr.rows)
+    assert format_array(arr) == want

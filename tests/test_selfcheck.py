@@ -1,20 +1,31 @@
 from locarray import build_variant_type, selfcheck
-from locarray.baranyai import _finish
+from locarray.baranyai import _finish, advance, decode_slot
+from conftest import encode_slot
+
+
+def final_step(change):
+    """advance, with change applied to the runs of the state it returns at tau = n."""
+    def step(state):
+        state = advance(state)
+        return state._replace(runs=change(state)) if state.tau == state.n else state
+    return step
 
 
 def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
     # a reversed block keeps its spread's shape and is distinct as a tuple,
     # but as a set it is a subset the padding also holds
-    def reversing_finish(state):
-        spreads = _finish(state)
-        for i, spread in enumerate(spreads):
-            for pos, blk in enumerate(spread):
+    def reverse_a_block(state):
+        runs = list(state.runs)
+        for i, (slots, first, count) in enumerate(runs):
+            for pos, s in enumerate(slots):
+                blk, m = decode_slot(state.n, s)
                 if len(blk) >= 2:
-                    spreads[i] = spread[:pos] + (blk[::-1],) + spread[pos + 1:]
-                    return spreads
+                    reversed_slot = encode_slot(state.n, blk[::-1], m)
+                    runs[i] = (slots[:pos] + (reversed_slot,) + slots[pos + 1:], first, count)
+                    return tuple(runs)
         raise AssertionError("no block with two elements")
 
-    monkeypatch.setattr(selfcheck, "_finish", reversing_finish)
+    monkeypatch.setattr(selfcheck, "advance", final_step(reverse_a_block))
     assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "padded system is not the powerset at n=4, v=2"
     ]
@@ -23,13 +34,26 @@ def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
 def test_a_run_counts_each_of_its_groups(monkeypatch):
     # one more group in the first final run repeats its spread, so its blocks
     # and its shape are counted twice
-    def doubling_finish(state):
-        spreads = _finish(state)
-        return spreads[:1] + spreads
+    def add_a_group(state):
+        return tuple((slots, first, count + (first == 0)) for slots, first, count in state.runs)
 
-    monkeypatch.setattr(selfcheck, "_finish", doubling_finish)
+    monkeypatch.setattr(selfcheck, "advance", final_step(add_a_group))
     assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "block distinctness broken at n=4, v=2",
         "type fidelity broken at n=4, v=2",
         "padded system is not the powerset at n=4, v=2",
+    ]
+
+
+def test_rows_must_be_those_of_the_decoded_blocks(monkeypatch):
+    # element 1 moves to the other block of the first spread in _finish's rows only
+    def moving_finish(state):
+        first, *rest = _finish(state)
+        moved = first[:]
+        moved[0] ^= 1
+        return (moved, *rest)
+
+    monkeypatch.setattr(selfcheck, "_finish", moving_finish)
+    assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
+        "rows differ from the decoded blocks at n=4, v=2"
     ]

@@ -46,7 +46,7 @@ def test_increment_appends_an_element(case, data):
     low = block[-1] + 1 if block else 1
     assume(low <= n)
     e = data.draw(st.integers(low, n))
-    inc = slot_increments(n)[e][len(block)]
+    inc = slot_increments(n, e)[len(block)]
     assert encode_slot(n, block, target) + inc == encode_slot(n, block + (e,), target)
 
 
