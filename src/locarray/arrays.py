@@ -13,8 +13,7 @@ from operator import and_, or_
 
 from .baranyai import DEFAULT_MAX_N, realize
 from .combinatorics import VARIANT_11, Variant, max_columns
-from .spread_systems import SpreadSystem
-from .spread_types import build_variant_type
+from .spread_types import SpreadSystem, build_variant_type
 
 __all__ = [
     "TestArray",
@@ -176,11 +175,9 @@ def verify_da11(arr: TestArray) -> Verdict:
     return Verdict(True)
 
 
-def spreads_to_array(system: SpreadSystem, v: int) -> TestArray:
+def spreads_to_array(system: SpreadSystem) -> TestArray:
     """One column per spread; a spread's blocks take symbols 0..v-1 in list order."""
-    if system.v != v:
-        raise ValueError(f"the spreads have {system.v} blocks, expected {v}")
-    return TestArray(system.rows, v)
+    return TestArray(system.rows, system.v)
 
 
 def generate_la(
@@ -196,7 +193,7 @@ def generate_la(
             f"no {variant.label} array with positive width exists for n={n}, v={v}"
         )
     t = build_variant_type(n, v, variant)
-    arr = spreads_to_array(realize(t, max_n=max_n), v)
+    arr = spreads_to_array(realize(t, max_n=max_n))
     if arr.k != k:
         raise RuntimeError("internal: generated width disagrees with the exact optimum")
     return arr

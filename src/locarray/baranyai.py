@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .combinatorics import binomial
-from .spread_systems import Row, SpreadSystem, new_row
-from .spread_types import VType, make_full
+from .spread_types import Row, SpreadSystem, VType, make_full
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -86,8 +85,9 @@ def slot_increments(n: int, e: int) -> tuple[int, ...]:
 def _blank_row(runs) -> tuple[Row, list[Row]]:
     """A zero block position per group of the runs, and per position a one-entry row."""
     v = len(runs[0][0]) if runs else 0
-    units = [new_row(v, (pos,)) for pos in range(v)]
-    return new_row(v, bytes(sum([count for _slots, _first, count in runs]))), units
+    kind = bytearray if v <= 256 else list  # one byte per block position while they fit
+    return (kind(bytes(sum([count for _slots, _first, count in runs]))),
+            [kind((pos,)) for pos in range(v)])
 
 
 class RealizationState(NamedTuple):

@@ -16,8 +16,7 @@ import json
 
 from .arrays import TestArray
 from .combinatorics import Variant
-from .spread_systems import SpreadSystem
-from .spread_types import Shape, VType
+from .spread_types import Shape, SpreadSystem, VType
 
 __all__ = [
     "format_array",

@@ -1,23 +1,26 @@
-"""Block-size shapes, shape multisets (types), and the optimal constructions.
+"""Block-size shapes, shape multisets (types), the optimal constructions, spread systems.
 
 A shape records the block sizes of one spread; a v-type is a multiset of
 shapes with v entries each, summing to n. A type is admissible when, for every
 size x, the number of size-x slots across all its shapes stays within C(n, x),
-the number of x-subsets of the ground set; realization takes admissible types.
+the number of x-subsets of the ground set; realization takes admissible types
+and gives spread systems, held as the rows of their arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .combinatorics import VARIANT_11, Variant, max_columns
 
 __all__ = [
     "Admissibility",
     "InadmissibleTypeError",
+    "Row",
     "Shape",
+    "SpreadSystem",
     "VType",
     "balanced_shape",
     "build_variant_type",
@@ -105,6 +108,29 @@ class VType:
     def __repr__(self) -> str:
         body = ", ".join(f"{list(s.entries)}x{c}" for s, c in self._shapes.items())
         return f"VType(n={self.n}, v={self.v}, [{body}])"
+
+
+Row = bytearray | list[int]  # an element's row: per spread, the position of its block
+
+
+class SpreadSystem(NamedTuple):
+    """Spreads of 1..n, each of v blocks: rows[e - 1][i] is the position in spread i of
+    the block holding e, the symbol spreads_to_array gives it. A system is built from
+    its rows only; realize lists each spread's blocks in (size, elements) order."""
+    n: int
+    v: int
+    rows: tuple[Row, ...]  # one per element
+
+    @property
+    def spreads(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per spread, its v blocks, derived from the rows on each read: read it once."""
+        spreads = []
+        for col in zip(*self.rows):
+            blocks: list[list[int]] = [[] for _ in range(self.v)]
+            for e, pos in enumerate(col, 1):
+                blocks[pos].append(e)
+            spreads.append(tuple(map(tuple, blocks)))
+        return tuple(spreads)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from locarray.baranyai import (
     integral_step_assignment,
 )
 from locarray.combinatorics import binomial
-from locarray.spread_systems import SpreadSystem
+from locarray.spread_types import SpreadSystem
 
 
 def random_array(rng: random.Random, max_rows=6, max_cols=6, max_symbols=4) -> TestArray:

@@ -22,7 +22,7 @@ from locarray import (
     verify_la,
 )
 from locarray.arrays import _class_folds, _class_forms
-from locarray.spread_systems import SpreadSystem
+from locarray.spread_types import SpreadSystem
 from conftest import random_array
 
 # the canonical optimal 3x4 array on two symbols
@@ -54,55 +54,39 @@ class TestTestArray:
 
 
 class TestSpreadsToArray:
-    """The array of a spread system, and the checks SpreadSystem.from_spreads makes of
-    blocks built outside the engine."""
+    """The array of a spread system: its rows, on the system's v symbols."""
 
     def test_small_pipeline(self):
         system = realize(build_variant_type(3, 2))
-        assert spreads_to_array(system, 2) == ARR34
+        assert spreads_to_array(system) == ARR34
 
     def test_identity_column(self):
-        system = SpreadSystem.from_spreads(3, 3, (((1,), (2,), (3,)),))
-        arr = spreads_to_array(system, 3)
+        system = SpreadSystem(3, 3, (bytearray([0]), bytearray([1]), bytearray([2])))
+        arr = spreads_to_array(system)
         assert arr.rows == ((0,), (1,), (2,))
+        assert system.spreads == (((1,), (2,), (3,)),)
 
     def test_blocks_take_symbols_in_list_order(self):
-        arr = spreads_to_array(SpreadSystem.from_spreads(3, 2, (((2, 3), (1,)),)), 2)
-        assert arr.rows == ((1,), (0,), (0,))
-
-    def test_overlapping_blocks_rejected(self):
-        with pytest.raises(ValueError, match="spread 1 does not partition 1..3"):
-            SpreadSystem.from_spreads(3, 2, (((1, 2), (2,)),))
-
-    def test_wrong_block_count_rejected(self):
-        with pytest.raises(ValueError, match="spread 1 has 1 blocks, expected 2"):
-            SpreadSystem.from_spreads(3, 2, (((1, 2, 3),),))
-        # a system of v blocks per spread makes an array on v symbols only
-        with pytest.raises(ValueError, match="the spreads have 2 blocks, expected 3"):
-            spreads_to_array(realize(build_variant_type(3, 2)), 3)
-
-    def test_two_empty_blocks_rejected(self):
-        with pytest.raises(ValueError, match="spread 1 has more than one empty block"):
-            SpreadSystem.from_spreads(2, 3, (((), (), (1, 2)),))
-
-    @pytest.mark.parametrize("n, blocks", [
-        (3, ((0, 1), (2, 3))),  # element 0
-        (3, ((1, 4), (2, 3))),  # element n + 1
-        (3, ((1, 1), (3,))),  # a duplicate, though the element count is n
-        (3, ((1,), (3,))),  # element 2 missing
-    ])
-    def test_blocks_that_do_not_partition_are_rejected(self, n, blocks):
-        with pytest.raises(ValueError, match="spread 1 does not partition 1..3"):
-            SpreadSystem.from_spreads(n, 2, (blocks,))
+        system = SpreadSystem(3, 2, (bytearray([1]), bytearray([0]), bytearray([0])))
+        assert spreads_to_array(system).rows == ((1,), (0,), (0,))
+        assert system.spreads == (((2, 3), (1,)),)
 
     def test_no_spreads_give_empty_rows(self):
-        arr = spreads_to_array(SpreadSystem.from_spreads(3, 2, ()), 2)
+        arr = spreads_to_array(SpreadSystem(3, 2, (bytearray(), bytearray(), bytearray())))
         assert arr.rows == ((), (), ()) and arr.k == 0
+
+    def test_v_comes_from_the_system(self):
+        # rows that use positions 0 and 1 only still make an array on the system's 3 symbols
+        rows = (bytearray([0, 1]), bytearray([1, 0]), bytearray([1, 1]))
+        assert spreads_to_array(SpreadSystem(3, 3, rows)).v == 3
+        # an entry at or above v is still refused, by TestArray
+        with pytest.raises(ValueError, match=r"^entry 3 outside 0\.\.2$"):
+            spreads_to_array(SpreadSystem(3, 3, rows[:2] + (bytearray([3, 0]),)))
 
     def test_round_trip_with_partitions(self):
         # column classes, sorted canonically, rebuild the spread blocks
         system = realize(build_variant_type(5, 3))
-        arr = spreads_to_array(system, 3)
+        arr = spreads_to_array(system)
         for sp, classes in zip(system.spreads, set_classes(arr)):
             want = sorted(sp, key=lambda b: (len(b), b))
             got = sorted((tuple(sorted(cl)) for cl in classes), key=lambda b: (len(b), b))

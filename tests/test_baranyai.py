@@ -27,8 +27,7 @@ from locarray.baranyai import (
     integral_step_assignment,
 )
 from locarray.combinatorics import binomial
-from locarray.spread_systems import SpreadSystem
-from locarray.spread_types import InadmissibleTypeError, make_full
+from locarray.spread_types import InadmissibleTypeError, SpreadSystem, make_full
 from conftest import (
     encode_slot,
     padding_blocks,
@@ -441,8 +440,10 @@ class TestFinish:
     def assert_same_as_stepping(t):
         got = realized(t)
         assert got.builds == t.n, t  # one network per element, the forced last one included
-        assert got.system == decoded_system(t.v, trajectory(t).final), t
-        return got.system
+        assert (got.system.n, got.system.v) == (t.n, t.v), t
+        spreads = got.system.spreads
+        assert spreads == decoded_spreads(trajectory(t).final), t
+        return spreads
 
     def test_every_variant_up_to_twelve_points(self):
         for n in range(1, 13):
@@ -451,9 +452,9 @@ class TestFinish:
                     self.assert_same_as_stepping(build_variant_type(n, v, variant))
 
     def test_sixteen_points(self):
-        system = self.assert_same_as_stepping(build_variant_type(16, 2))
+        spreads = self.assert_same_as_stepping(build_variant_type(16, 2))
         # blocks come in (size, elements) order, the order spreads_to_array gives out symbols
-        assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b)) for sp in system.spreads)
+        assert all(list(sp) == sorted(sp, key=lambda b: (len(b), b)) for sp in spreads)
 
     def test_random_types(self):
         rng = random.Random(29)
@@ -495,10 +496,9 @@ class TestFinish:
 # -- helpers ---------------------------------------------------------------
 
 
-def decoded_system(v, state):
-    """The requested system a final state holds: each slot decoded, groups in index order."""
-    return SpreadSystem.from_spreads(state.n, v, [tuple(decode_slot(state.n, s)[0] for s in slots)
-                                                  for slots in state.groups])
+def decoded_spreads(state):
+    """The requested spreads a final state holds: each slot decoded, groups in index order."""
+    return tuple(tuple(decode_slot(state.n, s)[0] for s in slots) for slots in state.groups)
 
 
 def decoded_rows(state):

@@ -57,3 +57,19 @@ def test_rows_must_be_those_of_the_decoded_blocks(monkeypatch):
     assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
         "rows differ from the decoded blocks at n=4, v=2"
     ]
+
+
+def test_a_decoded_spread_that_does_not_partition_is_caught(monkeypatch):
+    # (1, 3, 6) becomes (1, 3, 4), a subset no block uses: the blocks stay distinct,
+    # increasing and of the same sizes, but the spread repeats 4 and misses 6
+    def swap_a_block(state):
+        old, new = encode_slot(state.n, (1, 3, 6), 3), encode_slot(state.n, (1, 3, 4), 3)
+        runs = tuple((tuple(new if s == old else s for s in slots), first, count)
+                     for slots, first, count in state.runs)
+        assert runs != state.runs, "no block (1, 3, 6) with target 3"
+        return runs
+
+    monkeypatch.setattr(selfcheck, "advance", final_step(swap_a_block))
+    assert selfcheck.type_realization_failures(build_variant_type(6, 3)) == [
+        "rows differ from the decoded blocks at n=6, v=3"
+    ]
