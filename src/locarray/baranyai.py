@@ -12,13 +12,13 @@ bounds that keep the invariant, and an integral rounding within one unit per
 aggregated arc exists because the constraint matrix is a network matrix. It is
 found by flooring and routing the leftovers along augmenting paths: to cells
 below their lower bound first, then to any cell below its upper bound. The
-last step is forced (den = 1: each open block takes n); its network is built
-for the bound checks only. Each step writes the element's row of the array.
+last step is forced (den = 1: each open block takes n); its network is read for
+its arcs, never rounded. Each step writes the element's row of the array.
 
 The state holds one run of consecutive, identical groups per class of groups
 with the same slot multiset, and runs only split: each group gets the element
 in exactly one block, so different multisets stay different, and a class
-serves its members in index order, so those taking one cell stay a run.
+serves its groups in index order, so those taking one cell stay a run.
 
 Determinism contract: elements are placed in increasing order; classes are
 processed in order of their sorted slots; within a class, cells are served in
@@ -103,7 +103,7 @@ class RealizationState(NamedTuple):
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Per group, in index order, its slots: a view the engine never reads.
+        """Per group, in index order, its slots: a view neither the engine nor its tests read.
 
         The benchmark's tracer reads it, so deleting it waits on a change to the benchmark."""
         return tuple(slots for slots, _first, count in sorted(self.runs, key=lambda run: run[1])
@@ -125,22 +125,21 @@ class RealizationCheck:
 
 
 class Cell(NamedTuple):
-    """Blocks with the same slot; low to high of them get the next element."""
+    """Blocks with the same open slot, in slot order; low to high of them get the next element."""
 
-    slot: int
     low: int
     high: int
 
 
 class ClassNode(NamedTuple):
-    """Groups with identical slot multisets, merged for the step solve: one run.
+    """Groups with identical slot multisets, merged for the step solve: one run, of count groups.
 
     arcs holds (cell index, numerator, block position) in cell order; the
     fractional flow on an arc is numerator / denominator. skip_numerator is
     always 0; it stays because the benchmark's tracer reads it.
     """
 
-    members: range
+    count: int
     arcs: tuple[tuple[int, int, int], ...]
     skip_numerator: int
 
@@ -188,7 +187,8 @@ def build_step_network(state: RealizationState) -> StepNetwork:
 
     A cell holding c blocks that still need `need` elements keeps the
     invariant when between c - C(den - 1, need) and C(den - 1, need - 1) of
-    them receive the element. A group's open blocks need den elements in all.
+    them receive the element. A group's open blocks need den elements in all,
+    and a closed block holds exactly its target size.
     """
     n, tau = state.n, state.tau
     if tau >= n:
@@ -209,9 +209,11 @@ def build_step_network(state: RealizationState) -> StepNetwork:
             if low > high:
                 raise ValueError("not a realization state: a cell holds more blocks than it may")
             open_cell[s] = len(cells)
-            cells.append(Cell(s, low, high))
+            cells.append(Cell(low, high))
+        elif need:
+            raise StepInfeasibleError("internal: a block missed its target size")
     classes: list[ClassNode] = []
-    for slots, first, count in state.runs:
+    for slots, _first, count in state.runs:
         arcs = []
         for s in sorted(set(slots)):  # one arc per distinct open slot, in cell order
             if s in open_cell:
@@ -219,7 +221,7 @@ def build_step_network(state: RealizationState) -> StepNetwork:
                 arcs.append((open_cell[s], count * slots.count(s) * need, slots.index(s)))
         if count * den != sum([num for _ci, num, _pos in arcs]):
             raise ValueError("not a realization state: open slots and remaining elements differ")
-        classes.append(ClassNode(range(first, first + count), tuple(arcs), 0))
+        classes.append(ClassNode(count, tuple(arcs), 0))
     return StepNetwork(tau, den, tuple(cells), tuple(classes))
 
 
@@ -243,7 +245,7 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
         for cell, num, _pos in cls.arcs:
             tally[cell] += num // den
         frac_cells.append(tuple([cell for cell, num, _pos in cls.arcs if num % den]))
-        rem_supply.append(len(cls.members) - sum([num // den for _cell, num, _pos in cls.arcs]))
+        rem_supply.append(cls.count - sum([num // den for _cell, num, _pos in cls.arcs]))
 
     low = [c.low for c in net.cells]
     high = [c.high for c in net.cells]
@@ -306,7 +308,7 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
     for ci, cls in enumerate(net.classes):
         pairs = tuple([(pos, c) for cell, num, pos in cls.arcs
                        if (c := num // den + (ci in holders.get(cell, ()))) > 0])
-        if sum([c for _pos, c in pairs]) != len(cls.members):
+        if sum([c for _pos, c in pairs]) != cls.count:
             raise StepInfeasibleError("class assignment does not cover its groups")
         result.append(pairs)
     return tuple(result)
@@ -333,18 +335,13 @@ def advance(state: RealizationState) -> RealizationState:
 def _finish(state: RealizationState) -> tuple[Row, ...]:
     """At tau = n - 1, give n to every open block: the rows of all n elements.
 
-    The last network's bounds let an open slot occur once in all and need one
-    element, and a group hold exactly one; it is built for those checks only.
+    The last network has den = 1: its bounds let an open slot occur once in all and
+    need one element, and its class sums leave each class one arc, its run's block for n.
     """
-    base = state.n + 1
-    open_slots = {cell.slot for cell in build_step_network(state).cells}
     row, units = _blank_row(state.runs)
-    for slots, first, count in state.runs:
-        for pos, s in enumerate(slots):
-            if s in open_slots:
-                row[first:first + count] = units[pos] * count
-            elif s % base != s // base % base:
-                raise StepInfeasibleError("internal: a block missed its target size")
+    for (_slots, first, count), cls in zip(state.runs, build_step_network(state).classes):
+        ((_cell, _num, pos),) = cls.arcs
+        row[first:first + count] = units[pos] * count
     return state.rows + (row,)
 
 
@@ -354,8 +351,8 @@ def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     The cap on n is checked first, then make_full's gate (ValueError). Each
     requested shape becomes a spread partitioning 1..n with the shape's block
     sizes exactly, and no block (as a set) occurs twice anywhere in the system.
-    Elements 1..n-1 go through advance; the last step builds its network for
-    the bound checks, then writes n's row from the open slots.
+    Elements 1..n-1 go through advance; the last step builds its network and
+    writes n's row from its arcs, with no rounding.
     Spreads come in the order of the type's shapes, and identical inputs
     produce identical systems.
     """

@@ -214,7 +214,8 @@ def build_variant_type(n: int, v: int, variant: Variant = VARIANT_11) -> VType:
         raise ValueError(f"need n >= 1, got {n}")
     top = variant.max_symbols(n)
     if not 2 <= v <= top:
-        raise ValueError(f"need 2 <= v <= {top} for variant {variant.label}; got v={v}, n={n}")
+        need = f"need 2 <= v <= {top}" if top >= 2 else f"v must be at least 2 but is at most {top}"
+        raise ValueError(f"{need} for variant {variant.label}; got v={v}, n={n}")
     f = (n + 1) // v
     shapes: Counter[Shape] = Counter()
     c = 1  # C(n, i), advanced by C(n, i+1) = C(n, i) * (n-i) / (i+1)

@@ -1,15 +1,16 @@
 """Shared helpers for the test suite: seeded random generators for arrays and types,
-the reference slot encoder, hand-built realization states, the padding of a
-spread system, and cached engine walks and realizations, so each type is stepped
-and realized once."""
+the reference slot encoder, hand-built realization states and their groups, the
+padding of a spread system, the distinct variant types of the small sweeps, and
+cached engine walks and realizations, so each type is stepped and realized once."""
 
+import functools
 import random
 from itertools import combinations
 from typing import NamedTuple
 
 import pytest
 
-from locarray import Shape, TestArray, VType, realize
+from locarray import ALL_VARIANTS, Shape, TestArray, VType, build_variant_type, realize
 from locarray import baranyai
 from locarray.baranyai import (
     RealizationState,
@@ -74,6 +75,29 @@ def state_of_groups(n, tau, groups) -> RealizationState:
     """A hand-built realization state: one run of one group per given slot tuple, in index
     order, and no rows, which the checks these states are built for never read."""
     return RealizationState(n, tau, tuple((slots, gi, 1) for gi, slots in enumerate(groups)), ())
+
+
+def groups_of(state: RealizationState) -> tuple[tuple[int, ...], ...]:
+    """Per group, in index order, its slots: each run expanded to its count of groups."""
+    return tuple(slots for slots, _first, count in sorted(state.runs, key=lambda run: run[1])
+                 for _ in range(count))
+
+
+@functools.cache
+def distinct_variant_types(max_n: int = 12) -> tuple[VType, ...]:
+    """build_variant_type at every (n, v, variant) with n <= max_n, each distinct type once,
+    in the order of the sweep over n, then variant, then v.
+
+    For v >= 3 the t-barred variant gives the base type and the both-barred variant the
+    d-barred type, and at v = 2 the three barred variants give one type, so up to twelve
+    points the 288 points give 145 types."""
+    types: dict = {}
+    for n in range(1, max_n + 1):
+        for variant in ALL_VARIANTS:
+            for v in range(2, variant.max_symbols(n) + 1):
+                t = build_variant_type(n, v, variant)
+                types.setdefault(_key(t), t)
+    return tuple(types.values())
 
 
 class Step(NamedTuple):

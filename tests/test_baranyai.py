@@ -1,11 +1,11 @@
 import itertools
 import random
 from collections import Counter, deque
+from typing import NamedTuple
 
 import pytest
 
 from locarray import (
-    ALL_VARIANTS,
     CapExceededError,
     Shape,
     VType,
@@ -29,7 +29,9 @@ from locarray.baranyai import (
 from locarray.combinatorics import binomial
 from locarray.spread_types import InadmissibleTypeError, SpreadSystem, make_full
 from conftest import (
+    distinct_variant_types,
     encode_slot,
+    groups_of,
     padding_blocks,
     random_admissible_type,
     realized,
@@ -49,14 +51,14 @@ def group(n, blocks, targets):
 
 def decoded(state):
     """Per group, its (block, target) pairs in position order."""
-    return [[decode_slot(state.n, s) for s in slots] for slots in state.groups]
+    return [[decode_slot(state.n, s) for s in slots] for slots in groups_of(state)]
 
 
 class TestInitRealization:
     def test_small_full_type(self):
         state = init_realization(pair_type())
         assert state.tau == 0
-        assert state.groups == (group(2, ((), ()), (1, 1)),)
+        assert groups_of(state) == (group(2, ((), ()), (1, 1)),)
         assert check_realization(state)
         # the slack below each bound is the padding: the empty set and {1, 2}
         slack = {}
@@ -74,7 +76,7 @@ class TestInitRealization:
         for _ in range(20):
             t = random_admissible_type(rng, max_n=8)
             state = init_realization(t)
-            assert len(state.groups) == t.size()
+            assert len(groups_of(state)) == t.size()
             slots = sum(m for g in decoded(state) for _blk, m in g)
             padding = sum(x * (binomial(t.n, x) - t.sigma(x)) for x in range(t.n + 1))
             assert slots + padding == t.n * 2 ** (t.n - 1)
@@ -86,7 +88,7 @@ class TestAdvance:
         state = advance(init_realization(pair_type()))
         # the bounds force exactly one of the two unit blocks to take element 1
         assert state.tau == 1
-        assert state.groups == (group(2, ((1,), ()), (1, 1)),)
+        assert groups_of(state) == (group(2, ((1,), ()), (1, 1)),)
 
     def test_small_step_is_among_valid_outcomes(self):
         state = init_realization(VType(4, 2, {Shape((1, 3)): 1, Shape((2, 2)): 2}))
@@ -100,8 +102,9 @@ class TestAdvance:
         # so integral fractional values are forced exactly
         state = init_realization(build_variant_type(3, 2))
         net = build_step_network(state)
-        choice = expand_choices(net, integral_step_assignment(net))
-        counts = class_cell_counts(state, net, choice)
+        view = member_view(net, state)
+        choice = expand_choices(view, integral_step_assignment(net))
+        counts = class_cell_counts(state, view, choice)
         for ci, cls in enumerate(net.classes):
             for cell_i, num, _pos in cls.arcs:
                 got = counts[ci].get(cell_i, 0)
@@ -145,10 +148,8 @@ class TestRunInvariant:
             assert check_realization(state), (t, state.tau)
 
     def test_every_variant_up_to_twelve_points(self):
-        for n in range(1, 13):
-            for variant in ALL_VARIANTS:
-                for v in range(2, variant.max_symbols(n) + 1):
-                    self.assert_runs_hold(build_variant_type(n, v, variant))
+        for t in distinct_variant_types():
+            self.assert_runs_hold(t)
 
     def test_sixteen_points(self):
         for v in (2, 3):
@@ -165,10 +166,8 @@ class TestRows:
             assert [list(row) for row in state.rows] == decoded_rows(state), (t, state.tau)
 
     def test_every_variant_up_to_twelve_points(self):
-        for n in range(1, 13):
-            for variant in ALL_VARIANTS:
-                for v in range(2, variant.max_symbols(n) + 1):
-                    self.assert_rows_match_the_slots(build_variant_type(n, v, variant))
+        for t in distinct_variant_types():
+            self.assert_rows_match_the_slots(t)
 
     def test_sixteen_points(self):
         for v in (2, 3, 4):
@@ -183,14 +182,14 @@ class TestCheckRealization:
         blocks, targets = zip(*decoded(state)[0])
         blocks = list(blocks)
         blocks[0] = (2,) if blocks[0] != (2,) else (3,)
-        groups = list(state.groups)
+        groups = list(groups_of(state))
         groups[0] = group(state.n, blocks, targets)
         verdict = check_realization(state_of_groups(state.n, state.tau, groups))
         assert not verdict
         assert verdict.block == blocks[0]
         assert verdict.observed > verdict.expected == 0
         # over-counts: a repeated group, and at tau = 0 two (0, 4) shapes on 4 points
-        doubled = state_of_groups(state.n, state.tau, state.groups * 2)
+        doubled = state_of_groups(state.n, state.tau, groups_of(state) * 2)
         verdict = check_realization(doubled)
         assert not verdict
         assert verdict.observed == verdict.expected + 1 == 2
@@ -246,14 +245,13 @@ class TestStepAssignmentAgainstReference:
     @staticmethod
     def assert_same_choices(t):
         for step in trajectory(t).steps:
-            got = expand_choices(step.network, step.assignment)
-            assert got == reference_step_assignment(step.network), (t, step.state.tau)
+            view = member_view(step.network, step.state)
+            got = expand_choices(view, step.assignment)
+            assert got == reference_step_assignment(view), (t, step.state.tau)
 
     def test_every_variant_up_to_twelve_points(self):
-        for n in range(1, 13):
-            for variant in ALL_VARIANTS:
-                for v in range(2, variant.max_symbols(n) + 1):
-                    self.assert_same_choices(build_variant_type(n, v, variant))
+        for t in distinct_variant_types():
+            self.assert_same_choices(t)
 
     def test_sixteen_points(self):
         for v in (3, 4):
@@ -270,9 +268,9 @@ class TestStepAssignmentAgainstReference:
         # lie around the units floored onto it, so most networks get past the
         # floor and each of the four errors still occurs; both roundings give
         # the same choices or error
-        def outcome(rounding, net):
+        def outcome(rounding):
             try:
-                return rounding(net)
+                return rounding()
             except StepInfeasibleError as err:
                 return str(err)
 
@@ -281,7 +279,7 @@ class TestStepAssignmentAgainstReference:
         for _ in range(3000):
             den, ncells = rng.randint(1, 5), rng.randint(1, 5)
             tally = [0] * ncells
-            classes, first = [], 0
+            classes = []
             for _ in range(rng.randint(1, 6)):
                 size = rng.randint(1, 3)
                 targets = sorted(rng.sample(range(ncells), rng.randint(1, ncells)))
@@ -290,21 +288,21 @@ class TestStepAssignmentAgainstReference:
                              for pos, (ci, lo, hi) in enumerate(zip(targets, [0, *cuts], cuts)))
                 for ci, num, _pos in arcs:
                     tally[ci] += num // den
-                classes.append(ClassNode(range(first, first + size), arcs, 0))
-                first += size
-            cells = tuple(Cell(ci, t + rng.choice((-2, -1, -1, 0, 0, 1)), t + rng.randint(0, 4))
-                          for ci, t in enumerate(tally))
+                classes.append(ClassNode(size, arcs, 0))
+            cells = tuple(Cell(t + rng.choice((-2, -1, -1, 0, 0, 1)), t + rng.randint(0, 4))
+                          for t in tally)
             net = StepNetwork(0, den, cells, tuple(classes))
-            got = outcome(lambda net: expand_choices(net, integral_step_assignment(net)), net)
-            assert got == outcome(reference_step_assignment, net), net
+            view = member_view(net)
+            got = outcome(lambda: expand_choices(view, integral_step_assignment(net)))
+            assert got == outcome(lambda: reference_step_assignment(view)), net
             outcomes["choices" if isinstance(got, tuple) else got] += 1
         assert len(outcomes) == 5, outcomes  # the choices and each of the four errors
         assert outcomes["choices"] >= 1500, outcomes  # at least half reach a choice
 
 
-def single_class_network(den, cells, arcs, members=range(1)):
-    return StepNetwork(0, den, tuple(Cell(ci, low, high) for ci, (low, high) in enumerate(cells)),
-                       (ClassNode(members, arcs, 0),))
+def single_class_network(den, cells, arcs, count=1):
+    return StepNetwork(0, den, tuple(Cell(low, high) for low, high in cells),
+                       (ClassNode(count, arcs, 0),))
 
 
 class TestStepInfeasible:
@@ -329,12 +327,12 @@ class TestStepInfeasible:
         with pytest.raises(StepInfeasibleError, match="below its lower bound"):
             integral_step_assignment(net)
 
-    @pytest.mark.parametrize("members, first_numerator", [(range(1), 4), (range(2), 6)])
-    def test_class_options_do_not_cover_its_groups(self, members, first_numerator):
+    @pytest.mark.parametrize("count, first_numerator", [(1, 4), (2, 6)])
+    def test_class_options_do_not_cover_its_groups(self, count, first_numerator):
         # a negative numerator floors to minus one unit, so the units the class
         # is counted for and the options it lists disagree
         net = single_class_network(2, [(0, first_numerator // 2), (-1, 0)],
-                                   ((0, first_numerator, 0), (1, -2, 1)), members=members)
+                                   ((0, first_numerator, 0), (1, -2, 1)), count=count)
         with pytest.raises(StepInfeasibleError, match="does not cover its groups"):
             integral_step_assignment(net)
 
@@ -446,10 +444,8 @@ class TestFinish:
         return spreads
 
     def test_every_variant_up_to_twelve_points(self):
-        for n in range(1, 13):
-            for variant in ALL_VARIANTS:
-                for v in range(2, variant.max_symbols(n) + 1):
-                    self.assert_same_as_stepping(build_variant_type(n, v, variant))
+        for t in distinct_variant_types():
+            self.assert_same_as_stepping(t)
 
     def test_sixteen_points(self):
         spreads = self.assert_same_as_stepping(build_variant_type(16, 2))
@@ -492,13 +488,20 @@ class TestFinish:
         with pytest.raises(StepInfeasibleError):
             _finish(state)
 
+    def test_closed_block_off_its_target_raises_before_the_last_step(self):
+        # at tau = 1 on 4 points a block of target 0 holds element 1; the open
+        # block beside it needs all 3 elements left, so the other checks pass
+        state = state_of_groups(4, 1, (group(4, ((1,), ()), (0, 3)),))
+        with pytest.raises(StepInfeasibleError, match="a block missed its target size"):
+            build_step_network(state)
+
 
 # -- helpers ---------------------------------------------------------------
 
 
 def decoded_spreads(state):
     """The requested spreads a final state holds: each slot decoded, groups in index order."""
-    return tuple(tuple(decode_slot(state.n, s)[0] for s in slots) for slots in state.groups)
+    return tuple(tuple(decode_slot(state.n, s)[0] for s in slots) for slots in groups_of(state))
 
 
 def decoded_rows(state):
@@ -513,11 +516,45 @@ def decoded_rows(state):
 
 def step_choice_vector(state):
     net = build_step_network(state)
-    return expand_choices(net, integral_step_assignment(net))
+    return expand_choices(member_view(net, state), integral_step_assignment(net))
+
+
+class MemberCell(NamedTuple):
+    slot: int | None
+    low: int
+    high: int
+
+
+class MemberClass(NamedTuple):
+    members: range
+    arcs: tuple[tuple[int, int, int], ...]
+    skip_numerator: int
+
+
+def member_view(net, state=None):
+    """The network as the frozen reference reads it: each cell with its slot and each
+    class with the range of its member groups.
+
+    Class i is run i of the state and cell i its i-th open slot in slot order. A
+    network built by hand has no state: its classes take consecutive group indices
+    in class order, and its cells no slot.
+    """
+    if state is None:
+        firsts = [sum(cls.count for cls in net.classes[:ci]) for ci in range(len(net.classes))]
+        slots = [None] * len(net.cells)
+    else:
+        base = state.n + 1
+        firsts = [first for _slots, first, _count in state.runs]
+        slots = sorted({s for run_slots, _first, _count in state.runs
+                        for s in run_slots if s % base > s // base % base})
+    return net._replace(
+        cells=tuple(MemberCell(s, c.low, c.high) for s, c in zip(slots, net.cells, strict=True)),
+        classes=tuple(MemberClass(range(first, first + cls.count), cls.arcs, cls.skip_numerator)
+                      for first, cls in zip(firsts, net.classes, strict=True)))
 
 
 def expand_choices(net, assignment):
-    """The per-group choice vector of a per-class assignment.
+    """The per-group choice vector of a per-class assignment, on a member_view.
 
     A class's members, in index order, take its options in the order listed,
     each option as many times as its count.
@@ -531,12 +568,13 @@ def expand_choices(net, assignment):
 
 
 def class_cell_counts(state, net, choice):
-    """Per class, how many member groups took each cell."""
+    """Per class of a member_view, how many member groups took each cell."""
     counts: list[dict[int, int]] = [{} for _ in net.classes]
     cell_of = {c.slot: i for i, c in enumerate(net.cells)}
     gi_to_ci = {gi: ci for ci, cls in enumerate(net.classes) for gi in cls.members}
+    groups = groups_of(state)
     for gi, pos in enumerate(choice):
-        key = cell_of[state.groups[gi][pos]]
+        key = cell_of[groups[gi][pos]]
         counts[gi_to_ci[gi]][key] = counts[gi_to_ci[gi]].get(key, 0) + 1
     return counts
 

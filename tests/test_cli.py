@@ -150,6 +150,15 @@ class TestTypeRealizeGenerate:
         assert code == 2
         assert "error" in err
 
+    def test_no_symbol_count_fits_one_d_barred_row(self, capsys):
+        # d-barred classes are nonempty, so one row admits at most v = 1: the
+        # message names that limit, not the empty range 2..1
+        for variant in ("bar1-1", "bar1-bar1"):
+            code, out, err = run(["type", "--N", "1", "--v", "2", "--variant", variant], capsys)
+            assert (code, out) == (2, ""), variant
+            assert err == (f"error: v must be at least 2 but is at most 1 for variant {variant}; "
+                           "got v=2, n=1\n"), variant
+
 
 class TestVerify:
     def test_pipeline_round_trip(self, tmp_path, capsys, monkeypatch):
