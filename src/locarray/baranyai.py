@@ -11,9 +11,9 @@ with the same content and target), each cell total must stay within the
 bounds that keep the invariant, and an integral rounding within one unit per
 aggregated arc exists because the constraint matrix is a network matrix. It is
 found by flooring and routing the leftovers along augmenting paths: to cells
-below their lower bound first, then to any cell below its upper bound. The
-last step is forced (den = 1: each open block takes n); its network is read for
-its arcs, never rounded. Each step writes the element's row of the array.
+below their lower bound first, then to any cell below its upper bound, over a
+network of flat int lists. The last step is forced (den = 1: each open block
+takes n); its network's arcs give n's row. Each step writes its element's row.
 
 The state holds one run of consecutive, identical groups per class of groups
 with the same slot multiset, and runs only split: each group gets the element
@@ -31,7 +31,7 @@ same paths.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -124,20 +124,8 @@ class RealizationCheck:
         return self.ok
 
 
-class Cell(NamedTuple):
-    """Blocks with the same open slot, in slot order; low to high of them get the next element."""
-
-    low: int
-    high: int
-
-
 class ClassNode(NamedTuple):
-    """Groups with identical slot multisets, merged for the step solve: one run, of count groups.
-
-    arcs holds (cell index, numerator, block position) in cell order; the
-    fractional flow on an arc is numerator / denominator. skip_numerator is
-    always 0; it stays because the benchmark's tracer reads it.
-    """
+    """A class as StepNetwork.classes gives it: arcs as triples, and skip_numerator 0."""
 
     count: int
     arcs: tuple[tuple[int, int, int], ...]
@@ -145,10 +133,27 @@ class ClassNode(NamedTuple):
 
 
 class StepNetwork(NamedTuple):
+    """One step's bounded assignment. Cell i, the i-th open slot, gives the element to
+    low[i] to high[i] of its blocks. Class c, run c, has counts[c] groups and arcs[c] =
+    (cell, numerator, block position, cell, ...) in cell order, flow numerator / den.
+    The engine never reads the views cells and classes, rebuilt on each read; the
+    benchmark's tracer does, so deleting them waits on a change to the benchmark."""
+
     tau: int
     den: int  # n - tau, the common denominator of all fractional arc values
-    cells: tuple[Cell, ...]
-    classes: tuple[ClassNode, ...]
+    low: list[int]
+    high: list[int]
+    counts: list[int]
+    arcs: list[tuple[int, ...]]
+
+    @property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.low, self.high))
+
+    @property
+    def classes(self) -> tuple[ClassNode, ...]:
+        return tuple(ClassNode(count, tuple(zip(*[iter(arcs)] * 3)), 0)
+                     for count, arcs in zip(self.counts, self.arcs))
 
 
 def init_realization(t: VType) -> RealizationState:
@@ -170,15 +175,21 @@ def check_realization(state: RealizationState) -> RealizationCheck:
     Every (block, target) pair may occur at most C(n - tau, target - |block|)
     times, and at most zero times if the block holds an element outside 1..tau.
     """
-    n, tau = state.n, state.tau
-    counts: Counter[int] = Counter()
+    n, tau, base = state.n, state.tau, state.n + 1
+    held: dict[int, int] = {}  # slot -> blocks holding it
     for slots, _first, count in state.runs:
-        counts.update({s: count * slots.count(s) for s in slots})
-    for s, observed in sorted(counts.items()):
-        blk, m = decode_slot(n, s)
-        expected = binomial(n - tau, m - len(blk)) if all(1 <= e <= tau for e in blk) else 0
+        for s in slots:
+            held[s] = held.get(s, 0) + count
+    power = [base ** j for j in range(n + 2)]  # k elements sit at powers n + 2 - k..n + 1
+    for s, observed in sorted(held.items()):
+        m, size = s % base, s // base % base
+        expected = binomial(n - tau, m - size)
+        for p in power[n + 2 - size:]:  # every digit: a corrupted block need not be sorted
+            if not 1 <= s // p % base <= tau:
+                expected = 0
+                break
         if observed > expected:
-            return RealizationCheck(False, blk, m, observed, expected)
+            return RealizationCheck(False, *decode_slot(n, s), observed, expected)
     return RealizationCheck(True)
 
 
@@ -195,34 +206,34 @@ def build_step_network(state: RealizationState) -> StepNetwork:
         raise ValueError("realization is already complete")
     den, base = n - tau, n + 1
 
-    counts: dict[int, int] = {}
+    cell: dict[int, int] = {}  # open slot -> blocks holding it, then its cell index
     for slots, _first, count in state.runs:
         for s in slots:
-            counts[s] = counts.get(s, 0) + count
+            need = s % base - s // base % base
+            if need > 0:  # target above size: the block is open
+                cell[s] = cell.get(s, 0) + count
+            elif need:
+                raise StepInfeasibleError("internal: a block missed its target size")
     choose = [binomial(den - 1, j) for j in range(n + 1)]
-    cells: list[Cell] = []
-    open_cell: dict[int, int] = {}  # slot -> cell index, need recomputed: the step peaks here
-    for s in sorted(counts):
-        need = s % base - s // base % base
-        if need > 0:  # target above size: the block is open
-            low, high = counts[s] - choose[need], choose[need - 1]
-            if low > high:
-                raise ValueError("not a realization state: a cell holds more blocks than it may")
-            open_cell[s] = len(cells)
-            cells.append(Cell(low, high))
-        elif need:
-            raise StepInfeasibleError("internal: a block missed its target size")
-    classes: list[ClassNode] = []
+    low, high = [], []
+    for s in sorted(cell):
+        need = s % base - s // base % base  # recomputed, not stored: the step peaks here
+        low.append(cell[s] - choose[need])
+        high.append(choose[need - 1])
+        if low[-1] > high[-1]:
+            raise ValueError("not a realization state: a cell holds more blocks than it may")
+        cell[s] = len(low) - 1
+    arcs: list[tuple[int, ...]] = []
     for slots, _first, count in state.runs:
-        arcs = []
+        flat: list[int] = []
         for s in sorted(set(slots)):  # one arc per distinct open slot, in cell order
-            if s in open_cell:
-                need = s % base - s // base % base
-                arcs.append((open_cell[s], count * slots.count(s) * need, slots.index(s)))
-        if count * den != sum([num for _ci, num, _pos in arcs]):
+            if s in cell:
+                flat += (cell[s], count * slots.count(s) * (s % base - s // base % base),
+                         slots.index(s))
+        if count * den != sum(flat[1::3]):
             raise ValueError("not a realization state: open slots and remaining elements differ")
-        classes.append(ClassNode(count, tuple(arcs), 0))
-    return StepNetwork(tau, den, tuple(cells), tuple(classes))
+        arcs.append(tuple(flat))
+    return StepNetwork(tau, den, low, high, [count for _slots, _first, count in state.runs], arcs)
 
 
 def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -236,19 +247,17 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
     keeps every cell within its bounds and stays within one unit of the
     fractional flow on each aggregated arc.
     """
-    den, nclasses = net.den, len(net.classes)
+    den, low, high, nclasses = net.den, net.low, net.high, len(net.arcs)
 
-    frac_cells: list[tuple[int, ...]] = []
-    rem_supply: list[int] = []
-    tally = [0] * len(net.cells)  # units each cell receives so far
-    for cls in net.classes:
-        for cell, num, _pos in cls.arcs:
+    frac_cells, rem_supply = [], []  # per class: its fractional arcs' cells, its units left
+    tally = [0] * len(low)  # units each cell receives so far
+    for count, arcs in zip(net.counts, net.arcs):
+        for cell, num, _pos in zip(*[iter(arcs)] * 3):  # the flat arcs, three at a time
             tally[cell] += num // den
-        frac_cells.append(tuple([cell for cell, num, _pos in cls.arcs if num % den]))
-        rem_supply.append(cls.count - sum([num // den for _cell, num, _pos in cls.arcs]))
+            count -= num // den
+        frac_cells.append(tuple([cell for cell, num, _pos in zip(*[iter(arcs)] * 3) if num % den]))
+        rem_supply.append(count)
 
-    low = [c.low for c in net.cells]
-    high = [c.high for c in net.cells]
     if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
@@ -305,10 +314,10 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
         raise StepInfeasibleError("a cell stays below its lower bound after assignment")
 
     result = []
-    for ci, cls in enumerate(net.classes):
-        pairs = tuple([(pos, c) for cell, num, pos in cls.arcs
+    for ci, (count, arcs) in enumerate(zip(net.counts, net.arcs)):
+        pairs = tuple([(pos, c) for cell, num, pos in zip(*[iter(arcs)] * 3)
                        if (c := num // den + (ci in holders.get(cell, ()))) > 0])
-        if sum([c for _pos, c in pairs]) != cls.count:
+        if sum([c for _pos, c in pairs]) != count:
             raise StepInfeasibleError("class assignment does not cover its groups")
         result.append(pairs)
     return tuple(result)
@@ -336,11 +345,10 @@ def _finish(state: RealizationState) -> tuple[Row, ...]:
     """At tau = n - 1, give n to every open block: the rows of all n elements.
 
     The last network has den = 1: its bounds let an open slot occur once in all and
-    need one element, and its class sums leave each class one arc, its run's block for n.
+    need one element, and its class sums leave each class one arc: its run's block for n.
     """
     row, units = _blank_row(state.runs)
-    for (_slots, first, count), cls in zip(state.runs, build_step_network(state).classes):
-        ((_cell, _num, pos),) = cls.arcs
+    for (_slots, first, count), (_ci, _num, pos) in zip(state.runs, build_step_network(state).arcs):
         row[first:first + count] = units[pos] * count
     return state.rows + (row,)
 

@@ -33,15 +33,21 @@ def random_array(rng: random.Random, max_rows=6, max_cols=6, max_symbols=4) -> T
 
 
 def random_admissible_type(rng: random.Random, min_n=2, max_n=10) -> VType:
-    """A random admissible v-type: shapes of v entries summing to n, cut at random
-    points of 0..n, are accepted greedily while capacities allow; if none is, the
-    type holds one balanced shape."""
+    """A random admissible v-type: shapes of v entries summing to n, cut at distinct
+    random points below n, are accepted greedily while capacities allow; if none is,
+    the type holds one balanced shape.
+
+    Size 0 has room for one block, so a cut at 0 is drawn only while no shape holds
+    a 0 part: no shape has two, and none is refused for the one it has."""
     n = rng.randint(min_n, max_n)
     v = rng.randint(2, min(n + 1, 5))
     sigma = [0] * (n + 1)
     shapes: dict[Shape, int] = {}
     for _ in range(rng.randint(1, 10)):
-        cuts = sorted(rng.randint(0, n) for _ in range(v - 1))
+        points = range(1 if sigma[0] else 0, n)
+        if v - 1 > len(points):  # at v = n + 1 every shape has a 0 part
+            continue
+        cuts = sorted(rng.sample(points, v - 1))
         shape = Shape(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
         if all(sigma[x] + shape.entries.count(x) <= binomial(n, x) for x in set(shape.entries)):
             shapes[shape] = shapes.get(shape, 0) + 1
@@ -119,7 +125,7 @@ class Realized(NamedTuple):
 
 
 # A walk of more groups keeps its states only. The networks of (16, 2)'s 32768
-# groups would hold about 50 MiB, and no test compares networks that large.
+# groups would hold about 15 MiB, and no test compares networks that large.
 MAX_GROUPS_WITH_NETWORKS = 2 ** 13
 
 # by type key; every record is immutable, so the tests that read one share it

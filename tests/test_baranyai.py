@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter, deque
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -13,8 +14,6 @@ from locarray import (
     realize,
 )
 from locarray.baranyai import (
-    Cell,
-    ClassNode,
     RealizationState,
     StepInfeasibleError,
     StepNetwork,
@@ -105,8 +104,8 @@ class TestAdvance:
         view = member_view(net, state)
         choice = expand_choices(view, integral_step_assignment(net))
         counts = class_cell_counts(state, view, choice)
-        for ci, cls in enumerate(net.classes):
-            for cell_i, num, _pos in cls.arcs:
+        for ci, arcs in enumerate(net.arcs):
+            for cell_i, num in zip(arcs[::3], arcs[1::3]):
                 got = counts[ci].get(cell_i, 0)
                 assert abs(got * net.den - num) < net.den
                 if num % net.den == 0:
@@ -172,6 +171,36 @@ class TestRows:
     def test_sixteen_points(self):
         for v in (2, 3, 4):
             self.assert_rows_match_the_slots(build_variant_type(16, v))
+
+
+class TestTracedCounts:
+    """The step network's totals over a walk, which the benchmark traces per realization
+    through the cells and classes views."""
+
+    # per v at n = 16, summed over the n builds: cells, classes, and groups less the
+    # units floored onto arcs (the units the rounding routes)
+    TOTALS = {2: (131054, 98295, 0), 3: (23563, 41726, 35954)}
+
+    @pytest.mark.parametrize("v", [2, 3])
+    def test_sixteen_points(self, v):
+        cells = classes = routed = 0
+        for step in trajectory(build_variant_type(16, v)).steps:
+            net = build_step_network(step.state)
+            cells += len(net.low)
+            classes += len(net.counts)
+            routed += sum(net.counts) - sum([num // net.den for arcs in net.arcs
+                                             for num in arcs[1::3]])
+        assert (cells, classes, routed) == self.TOTALS[v]
+
+    def test_views_agree_with_the_flat_fields(self):
+        step = trajectory(build_variant_type(16, 3)).steps[8]
+        net = build_step_network(step.state)
+        assert [tuple(cell) for cell in net.cells] == list(zip(net.low, net.high))
+        classes = net.classes
+        assert [cls.count for cls in classes] == net.counts == [c for _s, _f, c in step.state.runs]
+        assert [tuple(x for arc in cls.arcs for x in arc) for cls in classes] == net.arcs
+        assert all(len(arc) == 3 for cls in classes for arc in cls.arcs)
+        assert {cls.skip_numerator for cls in classes} == {0}
 
 
 class TestCheckRealization:
@@ -279,19 +308,22 @@ class TestStepAssignmentAgainstReference:
         for _ in range(3000):
             den, ncells = rng.randint(1, 5), rng.randint(1, 5)
             tally = [0] * ncells
-            classes = []
+            counts, arcs = [], []
             for _ in range(rng.randint(1, 6)):
                 size = rng.randint(1, 3)
                 targets = sorted(rng.sample(range(ncells), rng.randint(1, ncells)))
                 cuts = sorted(rng.randint(0, den * size) for _ in targets[1:]) + [den * size]
-                arcs = tuple((ci, hi - lo + rng.choice((-1, 0, 0, 0, 0, 0, 0, 1)), pos)
-                             for pos, (ci, lo, hi) in enumerate(zip(targets, [0, *cuts], cuts)))
-                for ci, num, _pos in arcs:
+                flat = []
+                for pos, (ci, lo, hi) in enumerate(zip(targets, [0, *cuts], cuts)):
+                    num = hi - lo + rng.choice((-1, 0, 0, 0, 0, 0, 0, 1))
                     tally[ci] += num // den
-                classes.append(ClassNode(size, arcs, 0))
-            cells = tuple(Cell(t + rng.choice((-2, -1, -1, 0, 0, 1)), t + rng.randint(0, 4))
-                          for t in tally)
-            net = StepNetwork(0, den, cells, tuple(classes))
+                    flat += (ci, num, pos)
+                counts.append(size)
+                arcs.append(tuple(flat))
+            bounds = [(t + rng.choice((-2, -1, -1, 0, 0, 1)), t + rng.randint(0, 4))
+                      for t in tally]
+            net = StepNetwork(0, den, [lo for lo, _hi in bounds], [hi for _lo, hi in bounds],
+                              counts, arcs)
             view = member_view(net)
             got = outcome(lambda: expand_choices(view, integral_step_assignment(net)))
             assert got == outcome(lambda: reference_step_assignment(view)), net
@@ -301,8 +333,9 @@ class TestStepAssignmentAgainstReference:
 
 
 def single_class_network(den, cells, arcs, count=1):
-    return StepNetwork(0, den, tuple(Cell(low, high) for low, high in cells),
-                       (ClassNode(count, arcs, 0),))
+    """One class of count groups; cells are (low, high) pairs, and arcs is flat."""
+    return StepNetwork(0, den, [low for low, _high in cells], [high for _low, high in cells],
+                       [count], [arcs])
 
 
 class TestStepInfeasible:
@@ -310,20 +343,20 @@ class TestStepInfeasible:
 
     def test_floor_oversubscribes_a_cell(self):
         # the whole unit is forced onto a cell that may take none
-        net = single_class_network(2, [(0, 0)], ((0, 2, 0),))
+        net = single_class_network(2, [(0, 0)], (0, 2, 0))
         with pytest.raises(StepInfeasibleError, match="floor assignment oversubscribed"):
             integral_step_assignment(net)
 
     def test_no_augmenting_path_in_phase_two(self):
         # half a unit toward each of two cells, both already at their upper bound
-        net = single_class_network(2, [(0, 0), (0, 0)], ((0, 1, 0), (1, 1, 1)))
+        net = single_class_network(2, [(0, 0), (0, 0)], (0, 1, 0, 1, 1, 1))
         with pytest.raises(StepInfeasibleError, match="no augmenting path"):
             integral_step_assignment(net)
 
     def test_cell_below_its_lower_bound(self):
         # half a unit toward each of two cells that each need one block: the
         # only group's unit goes to the first, and the second stays below
-        net = single_class_network(2, [(1, 1), (1, 1)], ((0, 1, 0), (1, 1, 1)))
+        net = single_class_network(2, [(1, 1), (1, 1)], (0, 1, 0, 1, 1, 1))
         with pytest.raises(StepInfeasibleError, match="below its lower bound"):
             integral_step_assignment(net)
 
@@ -332,7 +365,7 @@ class TestStepInfeasible:
         # a negative numerator floors to minus one unit, so the units the class
         # is counted for and the options it lists disagree
         net = single_class_network(2, [(0, first_numerator // 2), (-1, 0)],
-                                   ((0, first_numerator, 0), (1, -2, 1)), count=count)
+                                   (0, first_numerator, 0, 1, -2, 1), count=count)
         with pytest.raises(StepInfeasibleError, match="does not cover its groups"):
             integral_step_assignment(net)
 
@@ -532,25 +565,28 @@ class MemberClass(NamedTuple):
 
 
 def member_view(net, state=None):
-    """The network as the frozen reference reads it: each cell with its slot and each
-    class with the range of its member groups.
+    """The network as the frozen reference reads it: its den, each cell with its slot
+    and bounds, and each class with the range of its member groups, its arcs as
+    (cell, numerator, position) triples and a skip numerator of 0.
 
     Class i is run i of the state and cell i its i-th open slot in slot order. A
     network built by hand has no state: its classes take consecutive group indices
     in class order, and its cells no slot.
     """
     if state is None:
-        firsts = [sum(cls.count for cls in net.classes[:ci]) for ci in range(len(net.classes))]
-        slots = [None] * len(net.cells)
+        firsts = [sum(net.counts[:ci]) for ci in range(len(net.counts))]
+        slots = [None] * len(net.low)
     else:
         base = state.n + 1
         firsts = [first for _slots, first, _count in state.runs]
         slots = sorted({s for run_slots, _first, _count in state.runs
                         for s in run_slots if s % base > s // base % base})
-    return net._replace(
-        cells=tuple(MemberCell(s, c.low, c.high) for s, c in zip(slots, net.cells, strict=True)),
-        classes=tuple(MemberClass(range(first, first + cls.count), cls.arcs, cls.skip_numerator)
-                      for first, cls in zip(firsts, net.classes, strict=True)))
+    return SimpleNamespace(
+        den=net.den,
+        cells=tuple(MemberCell(*cell) for cell in zip(slots, net.low, net.high, strict=True)),
+        classes=tuple(MemberClass(range(first, first + count),
+                                  tuple(zip(arcs[::3], arcs[1::3], arcs[2::3])), 0)
+                      for first, count, arcs in zip(firsts, net.counts, net.arcs, strict=True)))
 
 
 def expand_choices(net, assignment):
