@@ -18,15 +18,16 @@ takes n); its network's arcs give n's row. Each step writes its element's row.
 The state holds one run of consecutive, identical groups per class of groups
 with the same slot multiset, and runs only split: each group gets the element
 in exactly one block, so different multisets stay different, and a class
-serves its groups in index order, so those taking one cell stay a run.
+serves its groups in index order, so those taking one cell stay a run. A run's
+slots stay sorted, its class key, without a sort (see advance).
 
 Determinism contract: elements are placed in increasing order; classes are
 processed in order of their sorted slots; within a class, cells are served in
-index order and member groups in index order. A leftover unit's breadth-first
-search scans its own class's cells in that order, then full cells in
-discovery order and each cell's holders in the order they took it; this
-reaches classes in the order of a search that queues classes, and finds the
-same paths.
+slot order and member groups in index order. Cells are numbered as first met,
+and no choice compares their numbers. A leftover unit's breadth-first search
+scans its own class's cells in slot order, then full cells in discovery order
+and each cell's holders in the order they took it; this reaches classes in the
+order of a search that queues classes, and finds the same paths.
 """
 
 from __future__ import annotations
@@ -82,32 +83,37 @@ def slot_increments(n: int, e: int) -> tuple[int, ...]:
     return tuple(e * base ** (n + 1 - s) + base for s in range(n))
 
 
+def expand_runs(runs) -> tuple[tuple[int, ...], ...]:
+    """Per group, in index order, its slots in shape order: slots[i] sits at order[i]."""
+    groups: list[tuple[int, ...]] = []
+    for slots, order, _first, count in sorted(runs, key=lambda run: run[2]):
+        groups += [tuple([s for _pos, s in sorted(zip(order, slots))])] * count
+    return tuple(groups)
+
+
 def _blank_row(runs) -> tuple[Row, list[Row]]:
     """A zero block position per group of the runs, and per position a one-entry row."""
     v = len(runs[0][0]) if runs else 0
     kind = bytearray if v <= 256 else list  # one byte per block position while they fit
-    return (kind(bytes(sum([count for _slots, _first, count in runs]))),
-            [kind((pos,)) for pos in range(v)])
+    return (kind(bytes(sum([run[3] for run in runs]))), [kind((pos,)) for pos in range(v)])
 
 
 class RealizationState(NamedTuple):
-    """After placing elements 1..tau: runs (slots, first, count), ordered by sorted slots.
+    """After placing elements 1..tau: runs (slots, order, first, count), in increasing slots.
 
-    Groups first to first + count - 1 each hold slots: one int per block, in shape order;
-    rows[e - 1][g] is the position in group g of the block holding e."""
+    Groups first to first + count - 1 each hold slots: one int per block, sorted (empty
+    blocks by target and position, then the others by least element), and order[i] is
+    the shape position of slots[i]; rows[e - 1][g] is that of the block holding e."""
 
     n: int
     tau: int
-    runs: tuple[tuple[tuple[int, ...], int, int], ...]
+    runs: tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]
     rows: tuple[Row, ...]
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Per group, in index order, its slots: a view neither the engine nor its tests read.
-
-        The benchmark's tracer reads it, so deleting it waits on a change to the benchmark."""
-        return tuple(slots for slots, _first, count in sorted(self.runs, key=lambda run: run[1])
-                     for _ in range(count))
+        """Per group in index order, its shape-order slots; read by the benchmark's tracer only."""
+        return expand_runs(self.runs)
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,9 @@ class ClassNode(NamedTuple):
 
 
 class StepNetwork(NamedTuple):
-    """One step's bounded assignment. Cell i, the i-th open slot, gives the element to
+    """One step's bounded assignment. Cell i, the i-th open slot met, gives the element to
     low[i] to high[i] of its blocks. Class c, run c, has counts[c] groups and arcs[c] =
-    (cell, numerator, block position, cell, ...) in cell order, flow numerator / den.
+    (cell, numerator, shape position, cell, ...) in slot order, flow numerator / den.
     The engine never reads the views cells and classes, rebuilt on each read; the
     benchmark's tracer does, so deleting them waits on a change to the benchmark."""
 
@@ -162,11 +168,11 @@ def init_realization(t: VType) -> RealizationState:
     make_full is the realization gate; the padding that would complete the
     powerset stays implicit as the slack of the counting invariant.
     """
-    runs, first = [], 0
-    for shape, count in make_full(t).items():
-        runs.append((shape.entries, first, count))  # the slot of an empty block is its target
+    runs, first, order = [], 0, tuple(range(t.v))
+    for shape, count in make_full(t).items():  # shapes and their entries ascend: sorted slots
+        runs.append((shape.entries, order, first, count))  # an empty block's slot: its target
         first += count
-    return RealizationState(t.n, 0, tuple(sorted(runs)), ())
+    return RealizationState(t.n, 0, tuple(runs), ())
 
 
 def check_realization(state: RealizationState) -> RealizationCheck:
@@ -177,7 +183,7 @@ def check_realization(state: RealizationState) -> RealizationCheck:
     """
     n, tau, base = state.n, state.tau, state.n + 1
     held: dict[int, int] = {}  # slot -> blocks holding it
-    for slots, _first, count in state.runs:
+    for slots, _order, _first, count in state.runs:
         for s in slots:
             held[s] = held.get(s, 0) + count
     power = [base ** j for j in range(n + 2)]  # k elements sit at powers n + 2 - k..n + 1
@@ -206,38 +212,44 @@ def build_step_network(state: RealizationState) -> StepNetwork:
         raise ValueError("realization is already complete")
     den, base = n - tau, n + 1
 
-    cell: dict[int, int] = {}  # open slot -> blocks holding it, then its cell index
-    for slots, _first, count in state.runs:
+    cell: dict[int, int] = {}  # open slot -> its cell index, in the order met
+    low: list[int] = []  # per cell, the blocks holding it, until the bounds replace them
+    arcs: list[tuple[int, ...]] = []
+    short = False  # a group's open slots miss den; raised after the cell bounds
+    for slots, order, _first, count in state.runs:
+        flat: list[int] = []  # a list: a tuple grown by += leaves each smaller copy to free
+        i = last = 0
         for s in slots:
             need = s % base - s // base % base
             if need > 0:  # target above size: the block is open
-                cell[s] = cell.get(s, 0) + count
+                if (c := cell.get(s)) is None:
+                    c = cell[s] = len(low)
+                    low.append(0)
+                low[c] += count
+                if s == last:  # equal slots are adjacent: one arc per distinct slot
+                    flat[-2] += count * need
+                else:
+                    flat += (c, count * need, order[i])
+                    last = s
             elif need:
                 raise StepInfeasibleError("internal: a block missed its target size")
-    choose = [binomial(den - 1, j) for j in range(n + 1)]
-    low, high = [], []
-    for s in sorted(cell):
-        need = s % base - s // base % base  # recomputed, not stored: the step peaks here
-        low.append(cell[s] - choose[need])
-        high.append(choose[need - 1])
-        if low[-1] > high[-1]:
-            raise ValueError("not a realization state: a cell holds more blocks than it may")
-        cell[s] = len(low) - 1
-    arcs: list[tuple[int, ...]] = []
-    for slots, _first, count in state.runs:
-        flat: list[int] = []
-        for s in sorted(set(slots)):  # one arc per distinct open slot, in cell order
-            if s in cell:
-                flat += (cell[s], count * slots.count(s) * (s % base - s // base % base),
-                         slots.index(s))
-        if count * den != sum(flat[1::3]):
-            raise ValueError("not a realization state: open slots and remaining elements differ")
+            i += 1
+        short = short or count * den != sum(flat[1::3])
         arcs.append(tuple(flat))
-    return StepNetwork(tau, den, low, high, [count for _slots, _first, count in state.runs], arcs)
+    choose = [binomial(den - 1, j) for j in range(n + 1)]
+    high = [s % base - s // base % base for s in cell]  # each cell's need, then its bound
+    for c, need in enumerate(high):  # in place: the last step peaks here
+        low[c] -= choose[need]
+        high[c] = choose[need - 1]
+    if any(map(int.__gt__, low, high)):
+        raise ValueError("not a realization state: a cell holds more blocks than it may")
+    if short:
+        raise ValueError("not a realization state: open slots and remaining elements differ")
+    return StepNetwork(tau, den, low, high, [run[3] for run in state.runs], arcs)
 
 
-def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per class, (block position, count) pairs: how many of its groups take each cell.
+def integral_step_assignment(net: StepNetwork) -> tuple[tuple[int, ...], ...]:
+    """Per class, flat (block position, count) pairs: how many of its groups take each cell.
 
     Pairs come in the class's arc order, positive counts only. Floors the
     fractional flow on every aggregated arc, then routes the leftover units
@@ -252,25 +264,29 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
     frac_cells, rem_supply = [], []  # per class: its fractional arcs' cells, its units left
     tally = [0] * len(low)  # units each cell receives so far
     for count, arcs in zip(net.counts, net.arcs):
-        for cell, num, _pos in zip(*[iter(arcs)] * 3):  # the flat arcs, three at a time
-            tally[cell] += num // den
-            count -= num // den
-        frac_cells.append(tuple([cell for cell, num, _pos in zip(*[iter(arcs)] * 3) if num % den]))
+        frac: tuple[int, ...] = ()
+        for k in range(0, len(arcs), 3):  # the flat arcs, three at a time
+            q, r = divmod(arcs[k + 1], den)
+            tally[arcs[k]] += q
+            count -= q
+            if r:
+                frac += (arcs[k],)
+        frac_cells.append(frac)
         rem_supply.append(count)
 
-    if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
+    if any(map(int.__gt__, tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
-    # one extra unit may ride on each fractional arc: cell -> the classes holding one,
-    # in the order they took it; only cells on a path get an entry
-    holders: dict[int, dict[int, None]] = {}
+    # one extra unit may ride on each fractional arc: per cell, the classes holding one,
+    # in the order they took it
+    holders: list[tuple[int, ...]] = [()] * len(low)
 
     # Phase 1 meets the lower bounds. When a search fails, no class it saw can
     # reach a cell below its lower bound, now or after later augmentations, so
     # all of them drop out. Phase 2 places the rest under the upper bounds.
     for cap, phase_one in ((low, True), (high, False)):
         dead = [False] * nclasses
-        for start in range(nclasses):
+        for start in [ci for ci, units in enumerate(rem_supply) if units > 0]:
             while rem_supply[start] > 0 and not dead[start]:
                 parent_cell: dict[int, int] = {}
                 parent_cls: dict[int, int] = {}  # every class the search reached
@@ -278,12 +294,12 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
                 goal = -1
                 while queue and goal < 0:
                     via = queue.popleft()
-                    for ci in holders.get(via, ()) if via >= 0 else (start,):
+                    for ci in holders[via] if via >= 0 else (start,):
                         if ci in parent_cls or dead[ci]:
                             continue
                         parent_cls[ci] = via
                         for cell in frac_cells[ci]:
-                            if cell in parent_cell or ci in holders.get(cell, ()):
+                            if cell in parent_cell or ci in holders[cell]:
                                 continue
                             parent_cell[cell] = ci
                             if tally[cell] < cap[cell]:
@@ -303,41 +319,53 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[tuple[int, int], .
                 cell = goal
                 while True:
                     ci = parent_cell[cell]
-                    holders.setdefault(cell, {})[ci] = None
+                    holders[cell] += (ci,)
                     if ci == start:
                         break
                     prev = parent_cls[ci]
-                    del holders[prev][ci]
+                    holders[prev] = tuple([held for held in holders[prev] if held != ci])
                     cell = prev
 
-    if any(t < lo for t, lo in zip(tally, low)):
+    if any(map(int.__lt__, tally, low)):
         raise StepInfeasibleError("a cell stays below its lower bound after assignment")
 
     result = []
     for ci, (count, arcs) in enumerate(zip(net.counts, net.arcs)):
-        pairs = tuple([(pos, c) for cell, num, pos in zip(*[iter(arcs)] * 3)
-                       if (c := num // den + (ci in holders.get(cell, ()))) > 0])
-        if sum([c for _pos, c in pairs]) != count:
+        pairs: list[int] = []
+        for k in range(0, len(arcs), 3):
+            if (c := arcs[k + 1] // den + (ci in holders[arcs[k]])) > 0:
+                pairs += (arcs[k + 2], c)
+        if sum(pairs[1::2]) != count:
             raise StepInfeasibleError("class assignment does not cover its groups")
-        result.append(pairs)
+        result.append(tuple(pairs))
     return tuple(result)
 
 
 def advance(state: RealizationState) -> RealizationState:
     """Place element tau + 1: each run splits into one run per cell its class took, and
-    the element's row takes each child run's block position."""
+    the element's row takes each child run's block position. The element becomes the last
+    digit of its block's slot: a nonempty block keeps its leading digit, its least element,
+    and its place among the sorted slots; an empty one leads with the largest, at the end."""
     assignment = integral_step_assignment(build_step_network(state))
     n, elem = state.n, state.tau + 1
     base, inc = n + 1, slot_increments(n, elem)
     (row, units), runs = _blank_row(state.runs), []
-    for (slots, first, _count), pairs in zip(state.runs, assignment):
-        for pos, count in pairs:
-            s = slots[pos]  # elem exceeds all placed elements: it becomes digit |block|
-            child = slots[:pos] + (s + inc[s // base % base],) + slots[pos + 1:]
-            runs.append((child, first, count))
+    orders: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per moved order
+    for (slots, order, first, _count), pairs in zip(state.runs, assignment):
+        for k in range(0, len(pairs), 2):
+            pos, count = pairs[k], pairs[k + 1]
+            i = order.index(pos)
+            s = slots[i]
+            if s < base:  # an empty block's slot is its target
+                moved = order[:i] + order[i + 1:] + (pos,)
+                runs.append((slots[:i] + slots[i + 1:] + (s + inc[0],),
+                             orders.setdefault(moved, moved), first, count))
+            else:
+                runs.append((slots[:i] + (s + inc[s // base % base],) + slots[i + 1:],
+                             order, first, count))
             row[first:first + count] = units[pos] * count
             first += count
-    runs.sort(key=lambda run: sorted(run[0]))
+    runs.sort(key=lambda run: run[0])  # slots differ between runs
     return RealizationState(n, elem, tuple(runs), state.rows + (row,))
 
 
@@ -348,7 +376,7 @@ def _finish(state: RealizationState) -> tuple[Row, ...]:
     need one element, and its class sums leave each class one arc: its run's block for n.
     """
     row, units = _blank_row(state.runs)
-    for (_slots, first, count), (_ci, _num, pos) in zip(state.runs, build_step_network(state).arcs):
+    for (*_key, first, count), (_ci, _num, pos) in zip(state.runs, build_step_network(state).arcs):
         row[first:first + count] = units[pos] * count
     return state.rows + (row,)
 
@@ -359,8 +387,6 @@ def realize(t: VType, max_n: int = DEFAULT_MAX_N) -> SpreadSystem:
     The cap on n is checked first, then make_full's gate (ValueError). Each
     requested shape becomes a spread partitioning 1..n with the shape's block
     sizes exactly, and no block (as a set) occurs twice anywhere in the system.
-    Elements 1..n-1 go through advance; the last step builds its network and
-    writes n's row from its arcs, with no rounding.
     Spreads come in the order of the type's shapes, and identical inputs
     produce identical systems.
     """

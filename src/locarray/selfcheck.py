@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .baranyai import _finish, advance, check_realization, decode_slot, init_realization
+from .baranyai import (_finish, advance, check_realization, decode_slot, expand_runs,
+                       init_realization)
 from .combinatorics import ALL_VARIANTS, inequality_failures, max_columns
 from .oracle import max_k_exhaustive
 from .spread_types import SpreadSystem, VType, build_variant_type, is_admissible
@@ -77,9 +78,7 @@ def type_realization_failures(t: VType) -> list[str]:
             ]
     fails = []
     rows = _finish(state)
-    spreads = [tuple(decode_slot(n, s)[0] for s in slots)
-               for slots, _first, count in sorted(advance(state).runs, key=lambda run: run[1])
-               for _ in range(count)]
+    spreads = [tuple(decode_slot(n, s)[0] for s in g) for g in expand_runs(advance(state).runs)]
     blocks = {b for spread in spreads for b in spread}
     distinct = len(blocks) == sum(map(len, spreads))
     if not distinct:

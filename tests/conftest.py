@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random generators for arrays and types,
 the reference slot encoder, hand-built realization states and their groups, the
 padding of a spread system, the distinct variant types of the small sweeps, and
-cached engine walks and realizations, so each type is stepped and realized once."""
+cached engine walks and realizations, so each type is stepped and realized once.
+Every cached walk is checked against the layout of the state's runs."""
 
 import functools
 import random
@@ -17,8 +18,10 @@ from locarray.baranyai import (
     StepNetwork,
     advance,
     build_step_network,
+    expand_runs,
     init_realization,
     integral_step_assignment,
+    slot_increments,
 )
 from locarray.combinatorics import binomial
 from locarray.spread_types import SpreadSystem
@@ -77,16 +80,49 @@ def encode_slot(n: int, block, target: int) -> int:
     return (digits * base + len(block)) * base + target
 
 
+def run_of(slots, first, count):
+    """A run of the state from its groups' slots in shape order: (sorted slots, the shape
+    position of each, first, count), equal slots by position."""
+    pairs = sorted(zip(slots, range(len(slots))))
+    return tuple([s for s, _pos in pairs]), tuple([pos for _s, pos in pairs]), first, count
+
+
 def state_of_groups(n, tau, groups) -> RealizationState:
     """A hand-built realization state: one run of one group per given slot tuple, in index
     order, and no rows, which the checks these states are built for never read."""
-    return RealizationState(n, tau, tuple((slots, gi, 1) for gi, slots in enumerate(groups)), ())
+    return RealizationState(n, tau, tuple(run_of(slots, gi, 1) for gi, slots in enumerate(groups)),
+                            ())
 
 
 def groups_of(state: RealizationState) -> tuple[tuple[int, ...], ...]:
-    """Per group, in index order, its slots: each run expanded to its count of groups."""
-    return tuple(slots for slots, _first, count in sorted(state.runs, key=lambda run: run[1])
-                 for _ in range(count))
+    """Per group, in index order, its slots in shape order."""
+    return expand_runs(state.runs)
+
+
+def assert_run_layout(state: RealizationState, before: RealizationState | None = None):
+    """The layout of an engine state's runs, and with the state it was stepped from, that
+    every block keeps its shape position.
+
+    Each run's slots are sorted, equal only among empty blocks, which come first and by
+    position, then nonempty blocks by least element. Runs increase strictly by slots.
+    order is a permutation of range(v), and in shape order each group of the state holds
+    the blocks of its group before the step, one of them with element tau added."""
+    n, base = state.n, state.n + 1
+    top = base ** (n + 1)  # a slot's leading digit, its block's least element, sits here
+    for slots, order, _first, _count in state.runs:
+        assert sorted(order) == list(range(len(slots))), state.tau
+        for s, t, p, q in zip(slots, slots[1:], order, order[1:]):
+            assert s < t or s == t < base and p < q, (state.tau, slots, order)
+            assert s // top < t // top or t < base, (state.tau, slots)
+    keys = [run[0] for run in state.runs]
+    assert all(a < b for a, b in zip(keys, keys[1:])), state.tau
+    if before is None:
+        return
+    inc = slot_increments(n, state.tau)
+    for old, new in zip(groups_of(before), groups_of(state), strict=True):
+        moved = [(a, b) for a, b in zip(old, new, strict=True) if a != b]
+        assert len(moved) == 1 and moved[0][1] - moved[0][0] == inc[moved[0][0] // base % base], \
+            (state.tau, old, new)
 
 
 @functools.cache
@@ -151,7 +187,8 @@ def trajectory(t: VType) -> Trajectory:
 
     Each step records the network and the assignment advance itself used: the
     engine's two calls are wrapped while it runs, and each step must make one
-    build and one rounding of the network it just built.
+    build and one rounding of the network it just built. Each state must keep the
+    run layout (assert_run_layout).
     """
     key = _key(t)
     if key not in _trajectories:
@@ -167,12 +204,14 @@ def trajectory(t: VType) -> Trajectory:
             return assignments[-1]
 
         states = [init_realization(t)]
+        assert_run_layout(states[0])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(baranyai, "build_step_network", build)
             patch.setattr(baranyai, "integral_step_assignment", rounding)
             for tau in range(1, t.n + 1):
                 states.append(advance(states[-1]))
                 assert len(nets) == len(assignments) == tau, (t, tau)
+                assert_run_layout(states[-1], states[-2])
         if t.size() > MAX_GROUPS_WITH_NETWORKS:
             nets = assignments = [None] * t.n
         _trajectories[key] = Trajectory(tuple(map(Step, states, nets, assignments)), states[-1])

@@ -22,6 +22,7 @@ from locarray.baranyai import (
     build_step_network,
     check_realization,
     decode_slot,
+    expand_runs,
     init_realization,
     integral_step_assignment,
 )
@@ -34,6 +35,7 @@ from conftest import (
     padding_blocks,
     random_admissible_type,
     realized,
+    run_of,
     state_of_groups,
     trajectory,
 )
@@ -104,8 +106,8 @@ class TestAdvance:
         view = member_view(net, state)
         choice = expand_choices(view, integral_step_assignment(net))
         counts = class_cell_counts(state, view, choice)
-        for ci, arcs in enumerate(net.arcs):
-            for cell_i, num in zip(arcs[::3], arcs[1::3]):
+        for ci, cls in enumerate(view.classes):  # cells numbered as in the view's counts
+            for cell_i, num, _pos in cls.arcs:
                 got = counts[ci].get(cell_i, 0)
                 assert abs(got * net.den - num) < net.den
                 if num % net.den == 0:
@@ -136,13 +138,13 @@ class TestRunInvariant:
     def assert_runs_hold(t):
         walk = trajectory(t)
         for state in [step.state for step in walk.steps] + [walk.final]:
-            spans = sorted((first, count) for _slots, first, count in state.runs)
+            spans = sorted((first, count) for *_key, first, count in state.runs)
             end = 0
             for first, count in spans:
                 assert first == end and count > 0, (t, state.tau)
                 end += count
             assert end == t.size(), (t, state.tau)
-            keys = [sorted(slots) for slots, _first, _count in state.runs]
+            keys = [sorted(slots) for slots, *_rest in state.runs]
             assert all(a < b for a, b in zip(keys, keys[1:])), (t, state.tau)
             assert check_realization(state), (t, state.tau)
 
@@ -197,7 +199,7 @@ class TestTracedCounts:
         net = build_step_network(step.state)
         assert [tuple(cell) for cell in net.cells] == list(zip(net.low, net.high))
         classes = net.classes
-        assert [cls.count for cls in classes] == net.counts == [c for _s, _f, c in step.state.runs]
+        assert [cls.count for cls in classes] == net.counts == [c for *_k, c in step.state.runs]
         assert [tuple(x for arc in cls.arcs for x in arc) for cls in classes] == net.arcs
         assert all(len(arc) == 3 for cls in classes for arc in cls.arcs)
         assert {cls.skip_numerator for cls in classes} == {0}
@@ -230,8 +232,9 @@ class TestCheckRealization:
     def test_a_run_counts_each_of_its_groups(self):
         # one run of two identical groups over-counts as the two groups listed apart do
         state = advance(init_realization(VType(3, 2, {Shape((1, 2)): 1})))
-        ((slots, _first, _count),) = state.runs
-        verdict = check_realization(RealizationState(state.n, state.tau, ((slots, 0, 2),), ()))
+        (slots,) = groups_of(state)
+        doubled = RealizationState(state.n, state.tau, (run_of(slots, 0, 2),), ())
+        verdict = check_realization(doubled)
         assert not verdict
         assert verdict == check_realization(state_of_groups(state.n, state.tau, (slots, slots)))
 
@@ -330,6 +333,69 @@ class TestStepAssignmentAgainstReference:
             outcomes["choices" if isinstance(got, tuple) else got] += 1
         assert len(outcomes) == 5, outcomes  # the choices and each of the four errors
         assert outcomes["choices"] >= 1500, outcomes  # at least half reach a choice
+
+
+class TestStepNetworkAgainstReference:
+    """The one-pass build gives the network of the sorted-numbering build it replaced, up to
+    renaming cells, and raises the same error on a corrupted state."""
+
+    @staticmethod
+    def outcome(build, state):
+        try:
+            return build(state)
+        except (ValueError, StepInfeasibleError) as err:
+            return type(err).__name__, str(err)
+
+    @classmethod
+    def assert_same_network(cls, state):
+        got = cls.outcome(build_step_network, state)
+        want = cls.outcome(reference_step_network, state)
+        if not isinstance(want, StepNetwork):
+            assert got == want, state
+            return want[1]
+        assert (got.tau, got.den, got.counts) == (want.tau, want.den, want.counts)
+        rename = {}  # got's cell -> want's, in the order got's arcs meet them
+        for ours, theirs in zip(got.arcs, want.arcs, strict=True):
+            assert (ours[1::3], ours[2::3]) == (theirs[1::3], theirs[2::3]), state
+            for cell, same in zip(ours[::3], theirs[::3], strict=True):
+                assert rename.setdefault(cell, same) == same, state
+        assert list(rename) == list(range(len(got.low))), state  # numbered as met
+        assert sorted(rename.values()) == list(range(len(want.low))), state
+        assert [(got.low[c], got.high[c]) for c in rename] == \
+            [(want.low[c], want.high[c]) for c in rename.values()], state
+        return "network"
+
+    def test_every_cached_state(self):
+        types = [*distinct_variant_types(), *(build_variant_type(16, v) for v in (2, 3, 4))]
+        for t in types:
+            walk = trajectory(t)
+            for state in [step.state for step in walk.steps] + [walk.final]:
+                self.assert_same_network(state)
+
+    def test_corrupted_states(self):
+        # one run of a state changed: a count raised, a group repeated as its own run, a
+        # target moved by one, or den moved by one; each of the three errors occurs
+        rng = random.Random(37)
+        outcomes = Counter()
+        for t in distinct_variant_types(9):
+            for state in [step.state for step in trajectory(t).steps if step.state.runs]:
+                for _ in range(3):
+                    runs = list(state.runs)
+                    ri = rng.randrange(len(runs))
+                    slots, (first, count) = expand_runs([runs[ri]])[0], runs[ri][2:]
+                    kind = rng.randrange(4)
+                    if kind == 0:
+                        runs[ri] = run_of(slots, first, count + 1)
+                    elif kind == 1:
+                        runs.append(run_of(slots, sum(run[3] for run in runs), 1))
+                    elif kind == 2:
+                        pos = rng.randrange(len(slots))
+                        moved = slots[pos] + rng.choice((-1, 1))
+                        runs[ri] = run_of(slots[:pos] + (moved,) + slots[pos + 1:], first, count)
+                    tau = state.tau + (rng.choice((-1, 1)) if kind == 3 else 0)
+                    corrupted = state._replace(tau=tau, runs=tuple(runs))
+                    outcomes[self.assert_same_network(corrupted)] += 1
+        assert len(outcomes) == 5, outcomes  # a network, the three errors, and a done state
 
 
 def single_class_network(den, cells, arcs, count=1):
@@ -539,9 +605,9 @@ def decoded_spreads(state):
 
 def decoded_rows(state):
     """Per placed element, per group: the position of the decoded block that holds it."""
-    rows = [[None] * sum(count for _slots, _first, count in state.runs) for _ in range(state.tau)]
-    for slots, first, count in state.runs:
-        for pos, s in enumerate(slots):
+    rows = [[None] * sum(count for *_key, count in state.runs) for _ in range(state.tau)]
+    for slots, order, first, count in state.runs:
+        for s, pos in zip(slots, order):
             for e in decode_slot(state.n, s)[0]:
                 rows[e - 1][first:first + count] = [pos] * count
     return rows
@@ -569,23 +635,29 @@ def member_view(net, state=None):
     and bounds, and each class with the range of its member groups, its arcs as
     (cell, numerator, position) triples and a skip numerator of 0.
 
-    Class i is run i of the state and cell i its i-th open slot in slot order. A
-    network built by hand has no state: its classes take consecutive group indices
-    in class order, and its cells no slot.
+    Class i is run i of the state. The engine numbers cells as it meets them, and the
+    view renumbers them in slot order, the order the reference serves a class's options
+    in: a class's arcs list its distinct open slots in slot order. A network built by
+    hand has no state: its classes take consecutive group indices in class order, and
+    its cells keep their numbers and have no slot.
     """
     if state is None:
         firsts = [sum(net.counts[:ci]) for ci in range(len(net.counts))]
-        slots = [None] * len(net.low)
+        slot_of = dict.fromkeys(range(len(net.low)))  # cell -> no slot, in number order
     else:
         base = state.n + 1
-        firsts = [first for _slots, first, _count in state.runs]
-        slots = sorted({s for run_slots, _first, _count in state.runs
-                        for s in run_slots if s % base > s // base % base})
+        firsts = [first for *_key, first, _count in state.runs]
+        slot_of = {}
+        for (run_slots, *_rest), arcs in zip(state.runs, net.arcs, strict=True):
+            open_slots = sorted({s for s in run_slots if s % base > s // base % base})
+            slot_of.update(zip(arcs[::3], open_slots, strict=True))
+        slot_of = dict(sorted(slot_of.items(), key=lambda item: item[1]))  # in slot order
+    rank = {cell: i for i, cell in enumerate(slot_of)}
     return SimpleNamespace(
         den=net.den,
-        cells=tuple(MemberCell(*cell) for cell in zip(slots, net.low, net.high, strict=True)),
+        cells=tuple(MemberCell(slot, net.low[c], net.high[c]) for c, slot in slot_of.items()),
         classes=tuple(MemberClass(range(first, first + count),
-                                  tuple(zip(arcs[::3], arcs[1::3], arcs[2::3])), 0)
+                                  tuple(zip(map(rank.get, arcs[::3]), arcs[1::3], arcs[2::3])), 0)
                       for first, count, arcs in zip(firsts, net.counts, net.arcs, strict=True)))
 
 
@@ -593,11 +665,11 @@ def expand_choices(net, assignment):
     """The per-group choice vector of a per-class assignment, on a member_view.
 
     A class's members, in index order, take its options in the order listed,
-    each option as many times as its count.
+    each option as many times as its count; a class lists (position, count, ...) flat.
     """
     choices = [None] * sum(len(cls.members) for cls in net.classes)
     for cls, pairs in zip(net.classes, assignment, strict=True):
-        opts = [pos for pos, count in pairs for _ in range(count)]
+        opts = [pos for pos, count in zip(pairs[::2], pairs[1::2]) for _ in range(count)]
         for gi, pos in zip(cls.members, opts, strict=True):
             choices[gi] = pos
     return tuple(choices)
@@ -650,6 +722,46 @@ def brute_force_choices(state):
         if completable and all(lo <= tally[key] <= hi for key, (lo, hi) in bounds.items()):
             valid.append(combo)
     return valid
+
+
+def reference_step_network(state):
+    """The network build as it was with runs of shape-order slots and cells numbered in slot
+    order, kept to compare networks. The state is read through its shape-order groups."""
+    state = SimpleNamespace(n=state.n, tau=state.tau,
+                            runs=[(expand_runs([run])[0], *run[2:]) for run in state.runs])
+    n, tau = state.n, state.tau
+    if tau >= n:
+        raise ValueError("realization is already complete")
+    den, base = n - tau, n + 1
+
+    cell: dict[int, int] = {}  # open slot -> blocks holding it, then its cell index
+    for slots, _first, count in state.runs:
+        for s in slots:
+            need = s % base - s // base % base
+            if need > 0:  # target above size: the block is open
+                cell[s] = cell.get(s, 0) + count
+            elif need:
+                raise StepInfeasibleError("internal: a block missed its target size")
+    choose = [binomial(den - 1, j) for j in range(n + 1)]
+    low, high = [], []
+    for s in sorted(cell):
+        need = s % base - s // base % base  # recomputed, not stored: the step peaks here
+        low.append(cell[s] - choose[need])
+        high.append(choose[need - 1])
+        if low[-1] > high[-1]:
+            raise ValueError("not a realization state: a cell holds more blocks than it may")
+        cell[s] = len(low) - 1
+    arcs: list[tuple[int, ...]] = []
+    for slots, _first, count in state.runs:
+        flat: list[int] = []
+        for s in sorted(set(slots)):  # one arc per distinct open slot, in cell order
+            if s in cell:
+                flat += (cell[s], count * slots.count(s) * (s % base - s // base % base),
+                         slots.index(s))
+        if count * den != sum(flat[1::3]):
+            raise ValueError("not a realization state: open slots and remaining elements differ")
+        arcs.append(tuple(flat))
+    return StepNetwork(tau, den, low, high, [count for _slots, _first, count in state.runs], arcs)
 
 
 def reference_step_assignment(net):

@@ -1,6 +1,6 @@
 from locarray import build_variant_type, selfcheck
-from locarray.baranyai import _finish, advance, decode_slot
-from conftest import encode_slot
+from locarray.baranyai import _finish, advance, decode_slot, expand_runs
+from conftest import encode_slot, run_of
 
 
 def final_step(change):
@@ -16,12 +16,14 @@ def test_unsorted_final_block_is_not_the_powerset(monkeypatch):
     # but as a set it is a subset the padding also holds
     def reverse_a_block(state):
         runs = list(state.runs)
-        for i, (slots, first, count) in enumerate(runs):
+        for i, run in enumerate(runs):
+            slots = expand_runs((run,))[0]  # in shape order
             for pos, s in enumerate(slots):
                 blk, m = decode_slot(state.n, s)
                 if len(blk) >= 2:
                     reversed_slot = encode_slot(state.n, blk[::-1], m)
-                    runs[i] = (slots[:pos] + (reversed_slot,) + slots[pos + 1:], first, count)
+                    group = slots[:pos] + (reversed_slot,) + slots[pos + 1:]
+                    runs[i] = run_of(group, *run[2:])
                     return tuple(runs)
         raise AssertionError("no block with two elements")
 
@@ -35,7 +37,7 @@ def test_a_run_counts_each_of_its_groups(monkeypatch):
     # one more group in the first final run repeats its spread, so its blocks
     # and its shape are counted twice
     def add_a_group(state):
-        return tuple((slots, first, count + (first == 0)) for slots, first, count in state.runs)
+        return tuple((*key, first, count + (first == 0)) for *key, first, count in state.runs)
 
     monkeypatch.setattr(selfcheck, "advance", final_step(add_a_group))
     assert selfcheck.type_realization_failures(build_variant_type(4, 2)) == [
@@ -64,8 +66,9 @@ def test_a_decoded_spread_that_does_not_partition_is_caught(monkeypatch):
     # increasing and of the same sizes, but the spread repeats 4 and misses 6
     def swap_a_block(state):
         old, new = encode_slot(state.n, (1, 3, 6), 3), encode_slot(state.n, (1, 3, 4), 3)
-        runs = tuple((tuple(new if s == old else s for s in slots), first, count)
-                     for slots, first, count in state.runs)
+        # a block keeps its least element, so the slots stay sorted
+        runs = tuple((tuple(new if s == old else s for s in slots), order, first, count)
+                     for slots, order, first, count in state.runs)
         assert runs != state.runs, "no block (1, 3, 6) with target 3"
         return runs
 
