@@ -10,10 +10,11 @@ step is then a bounded assignment problem: the fractional solution routes
 with the same content and target), each cell total must stay within the
 bounds that keep the invariant, and an integral rounding within one unit per
 aggregated arc exists because the constraint matrix is a network matrix. It is
-found by flooring and routing the leftovers along augmenting paths: to cells
-below their lower bound first, then to any cell below its upper bound, over a
-network of flat int lists. The last step is forced (den = 1: each open block
-takes n); its network's arcs give n's row. Each step writes its element's row.
+found by flooring, filling each cell below its lower bound from the classes
+that feed it, and routing the leftovers along augmenting paths to any cell below
+its upper bound, over a network of flat int lists. The last step is forced
+(den = 1: each open block takes n); its network's arcs give n's row. Each step
+writes its element's row.
 
 The state holds one run of consecutive, identical groups per class of groups
 with the same slot multiset, and runs only split: each group gets the element
@@ -23,11 +24,13 @@ slots stay sorted, its class key, without a sort (see advance).
 
 Determinism contract: elements are placed in increasing order; classes are
 processed in order of their sorted slots; within a class, cells are served in
-slot order and member groups in index order. Cells are numbered as first met,
-and no choice compares their numbers. A leftover unit's breadth-first search
-scans its own class's cells in slot order, then full cells in discovery order
-and each cell's holders in the order they took it; this reaches classes in the
-order of a search that queues classes, and finds the same paths.
+slot order and member groups in index order. Cells are numbered as first met;
+the cells below their lower bound are filled in that order, each from its
+feeders in class order, and a breadth-first search back from one scans each
+feeder's held cells in slot order. A leftover unit's forward search scans
+its own class's cells in slot order, then full cells in discovery order and
+each cell's holders in the order they took it. Each search reaches classes in
+the order of one that queues classes, and finds the same paths.
 """
 
 from __future__ import annotations
@@ -252,14 +255,14 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[int, ...], ...]:
     """Per class, flat (block position, count) pairs: how many of its groups take each cell.
 
     Pairs come in the class's arc order, positive counts only. Floors the
-    fractional flow on every aggregated arc, then routes the leftover units
-    along augmenting paths over the arcs that carry a fractional part: first to
-    cells below their lower bound, then to any cell below its upper bound; a
-    cell's holders are walked only when the search dequeues it. The result
+    fractional flow on every aggregated arc; over the arcs that carry a
+    fractional part, fills each cell below its lower bound from its feeders,
+    searching back only when none has a unit left, then routes the leftovers
+    along augmenting paths to any cell below its upper bound. The result
     keeps every cell within its bounds and stays within one unit of the
     fractional flow on each aggregated arc.
     """
-    den, low, high, nclasses = net.den, net.low, net.high, len(net.arcs)
+    den, low, high = net.den, net.low, net.high
 
     frac_cells, rem_supply = [], []  # per class: its fractional arcs' cells, its units left
     tally = [0] * len(low)  # units each cell receives so far
@@ -277,57 +280,91 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[int, ...], ...]:
     if any(map(int.__gt__, tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
-    # one extra unit may ride on each fractional arc: per cell, the classes holding one,
-    # in the order they took it
+    # per cell, the classes holding an extra unit on it (at most one each), as taken
     holders: list[tuple[int, ...]] = [()] * len(low)
 
-    # Phase 1 meets the lower bounds. When a search fails, no class it saw can
-    # reach a cell below its lower bound, now or after later augmentations, so
-    # all of them drop out. Phase 2 places the rest under the upper bounds.
-    for cap, phase_one in ((low, True), (high, False)):
-        dead = [False] * nclasses
-        for start in [ci for ci, units in enumerate(rem_supply) if units > 0]:
-            while rem_supply[start] > 0 and not dead[start]:
-                parent_cell: dict[int, int] = {}
-                parent_cls: dict[int, int] = {}  # every class the search reached
-                queue = deque([-1])  # full cells in discovery order; -1 walks the start class
-                goal = -1
-                while queue and goal < 0:
+    # Phase 1 fills each short cell, in cell order, from its next feeder with a unit left
+    # (a class with a fractional arc to it, in class order), or else along a search back
+    # through feeders and the short cells they hold.
+    short = [c for c in range(len(low)) if tally[c] < low[c]]
+    feeders: dict[int, list[int]] = {c: [] for c in short}
+    extra: set[tuple[int, int]] = set()  # (class, cell) per extra unit held on a short cell
+    for ci, frac in enumerate(frac_cells if short else ()):
+        for cell in frac:
+            if cell in feeders:
+                feeders[cell].append(ci)
+    for target in short:  # a cell gets holders only in its turn, so none hold it yet
+        fed = filter(rem_supply.__getitem__, feeders[target])  # lazily: supplies only fall
+        while tally[target] < low[target]:
+            ci = next(fed, -1)
+            feeds = {ci: target}  # class -> the cell it takes on the path
+            if ci < 0:
+                gives = {target: -1}  # cell -> the class on the path that gives it up
+                queue = deque([target])
+                while queue and ci < 0:
                     via = queue.popleft()
-                    for ci in holders[via] if via >= 0 else (start,):
-                        if ci in parent_cls or dead[ci]:
+                    for fc in feeders[via]:
+                        if fc in feeds or (fc, via) in extra:
                             continue
-                        parent_cls[ci] = via
-                        for cell in frac_cells[ci]:
-                            if cell in parent_cell or ci in holders[cell]:
-                                continue
-                            parent_cell[cell] = ci
-                            if tally[cell] < cap[cell]:
-                                goal = cell
-                                break
-                            queue.append(cell)
-                        if goal >= 0:
+                        feeds[fc] = via
+                        if rem_supply[fc] > 0:
+                            ci = fc
                             break
-                if goal < 0:
-                    if not phase_one:
-                        raise StepInfeasibleError("no augmenting path; corrupted state")
-                    for ci in parent_cls:
-                        dead[ci] = True
-                    continue
-                tally[goal] += 1
-                rem_supply[start] -= 1
-                cell = goal
-                while True:
-                    ci = parent_cell[cell]
-                    holders[cell] += (ci,)
-                    if ci == start:
-                        break
-                    prev = parent_cls[ci]
-                    holders[prev] = tuple([held for held in holders[prev] if held != ci])
-                    cell = prev
+                        for cell in frac_cells[fc]:
+                            if cell not in gives and (fc, cell) in extra:
+                                gives[cell] = fc
+                                queue.append(cell)
+                if ci < 0:
+                    raise StepInfeasibleError("a cell stays below its lower bound after assignment")
+            tally[target] += 1
+            rem_supply[ci] -= 1
+            while True:
+                cell = feeds[ci]
+                holders[cell] += (ci,)
+                extra.add((ci, cell))
+                if cell == target:
+                    break
+                ci = gives[cell]
+                holders[cell] = tuple([h for h in holders[cell] if h != ci])
+                extra.remove((ci, cell))
+    del feeders, extra  # not read again, and the step peaks after phase 1
 
-    if any(map(int.__lt__, tally, low)):
-        raise StepInfeasibleError("a cell stays below its lower bound after assignment")
+    # Phase 2 places the rest under the upper bounds, searching forward from each class.
+    for start in [ci for ci, units in enumerate(rem_supply) if units > 0]:
+        while rem_supply[start] > 0:
+            parent_cell: dict[int, int] = {}
+            parent_cls: dict[int, int] = {}  # every class the search reached
+            queue = deque([-1])  # full cells in discovery order; -1 walks the start class
+            goal = -1
+            while queue and goal < 0:
+                via = queue.popleft()
+                for ci in holders[via] if via >= 0 else (start,):
+                    if ci in parent_cls:
+                        continue
+                    parent_cls[ci] = via
+                    for cell in frac_cells[ci]:
+                        if cell in parent_cell or ci in holders[cell]:
+                            continue
+                        parent_cell[cell] = ci
+                        if tally[cell] < high[cell]:
+                            goal = cell
+                            break
+                        queue.append(cell)
+                    if goal >= 0:
+                        break
+            if goal < 0:
+                raise StepInfeasibleError("no augmenting path; corrupted state")
+            tally[goal] += 1
+            rem_supply[start] -= 1
+            cell = goal
+            while True:
+                ci = parent_cell[cell]
+                holders[cell] += (ci,)
+                if ci == start:
+                    break
+                prev = parent_cls[ci]
+                holders[prev] = tuple([held for held in holders[prev] if held != ci])
+                cell = prev
 
     result = []
     for ci, (count, arcs) in enumerate(zip(net.counts, net.arcs)):

@@ -181,7 +181,7 @@ class TestTracedCounts:
 
     # per v at n = 16, summed over the n builds: cells, classes, and groups less the
     # units floored onto arcs (the units the rounding routes)
-    TOTALS = {2: (131054, 98295, 0), 3: (23563, 41726, 35954)}
+    TOTALS = {2: (131054, 98295, 0), 3: (23766, 41741, 36028)}
 
     @pytest.mark.parametrize("v", [2, 3])
     def test_sixteen_points(self, v):
@@ -272,7 +272,10 @@ class TestStepAssignmentAgainstBruteForce:
 
 
 class TestStepAssignmentAgainstReference:
-    """The rounding makes the same choices as the class-queue search it replaced."""
+    """The rounding makes the same choices as a plain model of its rule on per-class lists
+    (reference_step_assignment): cells below their lower bound filled in the engine's cell
+    order, each from its first free feeder or along a shortest backward path, then the
+    leftovers placed forward, both searches queueing classes."""
 
     @staticmethod
     def assert_same_choices(t):
@@ -333,6 +336,27 @@ class TestStepAssignmentAgainstReference:
             outcomes["choices" if isinstance(got, tuple) else got] += 1
         assert len(outcomes) == 5, outcomes  # the choices and each of the four errors
         assert outcomes["choices"] >= 1500, outcomes  # at least half reach a choice
+
+
+class TestLowerBoundsFromTheDeficitSide:
+    """Phase 1 on hand-built networks: two classes of one group each, den = 2."""
+
+    def test_a_feeder_gives_up_a_short_cell_to_a_second_class(self):
+        # cells 0 and 1 each need one unit; class 0 feeds both, class 1 feeds cell 0 and
+        # the free cell 2. Cell 0 takes class 0's unit; cell 1's only feeder has none left,
+        # so the backward path 1 <- class 0 <- cell 0 <- class 1 moves class 0 to cell 1
+        # and gives cell 0 to class 1
+        net = StepNetwork(0, 2, [1, 1, 0], [1, 1, 1], [1, 1],
+                          [(0, 1, 0, 1, 1, 1), (0, 1, 0, 2, 1, 1)])
+        assert integral_step_assignment(net) == ((1, 1), (0, 1))
+
+    def test_a_short_cell_that_no_path_reaches_raises_before_phase_two(self):
+        # class 0 fills cell 0 and then has nothing to give cell 1; class 1's unit has no
+        # room at all, which phase 2 would report, but phase 1 raises first
+        net = StepNetwork(0, 2, [1, 1, 0, 0], [1, 1, 0, 0], [1, 1],
+                          [(0, 1, 0, 1, 1, 1), (2, 1, 0, 3, 1, 1)])
+        with pytest.raises(StepInfeasibleError, match="below its lower bound"):
+            integral_step_assignment(net)
 
 
 class TestStepNetworkAgainstReference:
@@ -622,24 +646,24 @@ class MemberCell(NamedTuple):
     slot: int | None
     low: int
     high: int
+    number: int  # the engine's cell number: cells below their lower bound go in this order
 
 
 class MemberClass(NamedTuple):
     members: range
     arcs: tuple[tuple[int, int, int], ...]
-    skip_numerator: int
 
 
 def member_view(net, state=None):
-    """The network as the frozen reference reads it: its den, each cell with its slot
-    and bounds, and each class with the range of its member groups, its arcs as
-    (cell, numerator, position) triples and a skip numerator of 0.
+    """The network as the reference reads it: its den, each cell with its slot, bounds
+    and engine number, and each class with the range of its member groups and its arcs
+    as (cell, numerator, position) triples.
 
     Class i is run i of the state. The engine numbers cells as it meets them, and the
-    view renumbers them in slot order, the order the reference serves a class's options
-    in: a class's arcs list its distinct open slots in slot order. A network built by
-    hand has no state: its classes take consecutive group indices in class order, and
-    its cells keep their numbers and have no slot.
+    view renumbers them in slot order, the order a class lists its options in: a
+    class's arcs list its distinct open slots in slot order. A network built by hand
+    has no state: its classes take consecutive group indices in class order, and its
+    cells keep their numbers and have no slot.
     """
     if state is None:
         firsts = [sum(net.counts[:ci]) for ci in range(len(net.counts))]
@@ -655,9 +679,9 @@ def member_view(net, state=None):
     rank = {cell: i for i, cell in enumerate(slot_of)}
     return SimpleNamespace(
         den=net.den,
-        cells=tuple(MemberCell(slot, net.low[c], net.high[c]) for c, slot in slot_of.items()),
+        cells=tuple(MemberCell(slot, net.low[c], net.high[c], c) for c, slot in slot_of.items()),
         classes=tuple(MemberClass(range(first, first + count),
-                                  tuple(zip(map(rank.get, arcs[::3]), arcs[1::3], arcs[2::3])), 0)
+                                  tuple(zip(map(rank.get, arcs[::3]), arcs[1::3], arcs[2::3])))
                       for first, count, arcs in zip(firsts, net.counts, net.arcs, strict=True)))
 
 
@@ -765,15 +789,23 @@ def reference_step_network(state):
 
 
 def reference_step_assignment(net):
-    """The rounding as it was with a search that queues classes, kept to compare choices."""
+    """The rounding modelled on per-class lists of extra units, to compare choices.
+
+    Every arc takes the floor of its flow. Then each cell below its lower bound, in the
+    engine's cell order, takes each missing unit from the first class in class order
+    with a fractional arc to it, a unit left and no extra unit on it; failing that, along
+    a shortest path back through such classes and the cells they hold extra units on (in
+    arc order), found by a search that queues classes, to a class with a unit left. Then
+    each class with units left, in class order, places them under the upper bounds along
+    a shortest path forward, found by a search that queues classes.
+    """
     den, ncells, nclasses = net.den, len(net.cells), len(net.classes)
-    skip = ncells
 
     base, frac_opts, rem_supply = [], [], []
-    tally = [0] * (ncells + 1)
+    tally = [0] * ncells
     for cls in net.classes:
         z, opts = {}, []
-        for opt, num in [(ci, num) for ci, num, _pos in cls.arcs] + [(skip, cls.skip_numerator)]:
+        for opt, num, _pos in cls.arcs:
             q, r = divmod(num, den)
             if q:
                 z[opt] = q
@@ -784,59 +816,108 @@ def reference_step_assignment(net):
         frac_opts.append(opts)
         rem_supply.append(len(cls.members) - sum(z.values()))
 
-    low = [c.low for c in net.cells] + [0]
-    high = [c.high for c in net.cells] + [sum(len(cls.members) for cls in net.classes)]
+    low = [c.low for c in net.cells]
+    high = [c.high for c in net.cells]
     if any(t > h for t, h in zip(tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
-    extra = [set() for _ in range(nclasses)]
-    holders = [[] for _ in range(ncells + 1)]
-    for cap, phase_one in ((low, True), (high, False)):
-        dead = [False] * nclasses
-        for start in range(nclasses):
-            while rem_supply[start] > 0 and not dead[start]:
-                parent_opt, parent_cls = {}, {}
-                queue = deque([start])
-                seen_cls = {start}
-                goal = -1
-                while queue and goal < 0:
-                    ci = queue.popleft()
-                    for opt in frac_opts[ci]:
-                        if opt in parent_opt or opt in extra[ci]:
-                            continue
-                        parent_opt[opt] = ci
-                        if tally[opt] < cap[opt]:
-                            goal = opt
+    extra = [[] for _ in range(nclasses)]  # per class, the cells it holds a unit on
+    holders = [[] for _ in range(ncells)]  # per cell, the classes holding a unit on it
+
+    def take(ci, opt):
+        extra[ci].append(opt)
+        holders[opt].append(ci)
+
+    def give_up(ci, opt):
+        extra[ci].remove(opt)
+        holders[opt].remove(ci)
+
+    feeders = [[] for _ in range(ncells)]  # per cell, the classes with a fractional arc to it
+    for ci, opts in enumerate(frac_opts):
+        for opt in opts:
+            feeders[opt].append(ci)
+
+    def free_feeders(opt):
+        return [ci for ci in feeders[opt] if opt not in extra[ci]]
+
+    short = [opt for opt in range(ncells) if tally[opt] < low[opt]]
+    for target in sorted(short, key=lambda opt: net.cells[opt].number):
+        while tally[target] < low[target]:
+            direct = [ci for ci in free_feeders(target) if rem_supply[ci] > 0]
+            if direct:
+                take(direct[0], target)
+                rem_supply[direct[0]] -= 1
+                tally[target] += 1
+                continue
+            takes, gives = {}, {target: None}  # class -> cell it takes; cell -> class giving it
+            queue = deque()
+
+            def reach(opt):
+                for ci in free_feeders(opt):
+                    if ci not in takes:
+                        takes[ci] = opt
+                        if rem_supply[ci] > 0:
+                            return ci
+                        queue.append(ci)
+                return None
+
+            end = reach(target)
+            while end is None and queue:
+                ci = queue.popleft()
+                for opt in frac_opts[ci]:
+                    if opt in extra[ci] and opt not in gives:
+                        gives[opt] = ci
+                        end = reach(opt)
+                        if end is not None:
                             break
-                        for other in holders[opt]:
-                            if other not in seen_cls and not dead[other]:
-                                seen_cls.add(other)
-                                parent_cls[other] = opt
-                                queue.append(other)
-                if goal < 0:
-                    if not phase_one:
-                        raise StepInfeasibleError("no augmenting path; corrupted state")
-                    for ci in seen_cls:
-                        dead[ci] = True
-                    continue
-                tally[goal] += 1
-                rem_supply[start] -= 1
-                opt = goal
-                while True:
-                    ci = parent_opt[opt]
-                    extra[ci].add(opt)
-                    holders[opt].append(ci)
-                    if ci == start:
+            if end is None:
+                raise StepInfeasibleError("a cell stays below its lower bound after assignment")
+            rem_supply[end] -= 1
+            tally[target] += 1
+            ci = end
+            while True:
+                opt = takes[ci]
+                take(ci, opt)
+                if opt == target:
+                    break
+                ci = gives[opt]
+                give_up(ci, opt)
+
+    for start in range(nclasses):
+        while rem_supply[start] > 0:
+            parent_opt, parent_cls = {}, {}
+            queue = deque([start])
+            seen_cls = {start}
+            goal = -1
+            while queue and goal < 0:
+                ci = queue.popleft()
+                for opt in frac_opts[ci]:
+                    if opt in parent_opt or opt in extra[ci]:
+                        continue
+                    parent_opt[opt] = ci
+                    if tally[opt] < high[opt]:
+                        goal = opt
                         break
-                    prev = parent_cls[ci]
-                    extra[ci].remove(prev)
-                    holders[prev].remove(ci)
-                    opt = prev
+                    for other in holders[opt]:
+                        if other not in seen_cls:
+                            seen_cls.add(other)
+                            parent_cls[other] = opt
+                            queue.append(other)
+            if goal < 0:
+                raise StepInfeasibleError("no augmenting path; corrupted state")
+            tally[goal] += 1
+            rem_supply[start] -= 1
+            opt = goal
+            while True:
+                ci = parent_opt[opt]
+                take(ci, opt)
+                if ci == start:
+                    break
+                prev = parent_cls[ci]
+                give_up(ci, prev)
+                opt = prev
 
-    if any(t < lo for t, lo in zip(tally, low)):
-        raise StepInfeasibleError("a cell stays below its lower bound after assignment")
-
-    choices = [None] * high[skip]
+    choices = [None] * sum(len(cls.members) for cls in net.classes)
     for ci, cls in enumerate(net.classes):
         counts = dict(base[ci])
         for opt in extra[ci]:

@@ -62,15 +62,22 @@ def test_rows_must_be_those_of_the_decoded_blocks(monkeypatch):
 
 
 def test_a_decoded_spread_that_does_not_partition_is_caught(monkeypatch):
-    # (1, 3, 6) becomes (1, 3, 4), a subset no block uses: the blocks stay distinct,
-    # increasing and of the same sizes, but the spread repeats 4 and misses 6
+    # the first 3-block (a, b, c) becomes (a, b, x), a subset no block uses: x > b lies
+    # in another block of the spread, so the blocks stay distinct, increasing and of
+    # the same sizes, but the spread repeats x and misses c
     def swap_a_block(state):
-        old, new = encode_slot(state.n, (1, 3, 6), 3), encode_slot(state.n, (1, 3, 4), 3)
-        # a block keeps its least element, so the slots stay sorted
-        runs = tuple((tuple(new if s == old else s for s in slots), order, first, count)
-                     for slots, order, first, count in state.runs)
-        assert runs != state.runs, "no block (1, 3, 6) with target 3"
-        return runs
+        n, runs = state.n, list(state.runs)
+        used = {decode_slot(n, s)[0] for slots, *_rest in runs for s in slots}
+        for i, (slots, *rest) in enumerate(runs):
+            for j, s in enumerate(slots):
+                blk, m = decode_slot(n, s)
+                for x in range(blk[1] + 1, n + 1) if len(blk) == 3 else ():
+                    if blk[:2] + (x,) not in used:
+                        # a block keeps its least element, so the slots stay sorted
+                        new = encode_slot(n, blk[:2] + (x,), m)
+                        runs[i] = (slots[:j] + (new,) + slots[j + 1:], *rest)
+                        return tuple(runs)
+        raise AssertionError("no 3-block with an unused replacement")
 
     monkeypatch.setattr(selfcheck, "advance", final_step(swap_a_block))
     assert selfcheck.type_realization_failures(build_variant_type(6, 3)) == [
