@@ -122,6 +122,15 @@ def test_end_to_end_generation():
     _report("end-to-end generation: 10x116 verified both ways; n <= 12 sweep exact; bytes pinned")
 
 
+def test_array_above_the_default_cap():
+    # n = 20 reaches backward rounding paths deeper than any n <= 16 produces
+    doc = format_array(generate_la(20, 4, max_n=20))
+    assert len(doc) == 294570
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "b04092ac14a8b4fcd93536cf55227c9a0f723a7af269bb1fb2689b79eeefb742")
+    _report("n = 20, v = 4 array above the default cap: bytes pinned")
+
+
 def test_sixteen_point_systems():
     start = time.time()
     for v, want in SYSTEM16_SHA256.items():
