@@ -25,12 +25,11 @@ slots stay sorted, its class key, without a sort (see advance).
 Determinism contract: elements are placed in increasing order; classes are
 processed in order of their sorted slots; within a class, cells are served in
 slot order and member groups in index order. Cells are numbered as first met;
-the cells below their lower bound are filled in that order, each from its
-feeders in class order, and a breadth-first search back from one scans each
-feeder's held cells in slot order. A leftover unit's forward search scans
-its own class's cells in slot order, then full cells in discovery order and
-each cell's holders in the order they took it. Each search reaches classes in
-the order of one that queues classes, and finds the same paths.
+those below their lower bound are filled in that order, then the classes with
+units left route them on, in class order. Both phases take their paths from one
+breadth-first search over classes and cells. It scans a cell's feeders in class
+order, a class's cells in arc (slot) order and a cell's holders in the order
+they took it, and stops at the first goal it meets.
 """
 
 from __future__ import annotations
@@ -251,15 +250,60 @@ def build_step_network(state: RealizationState) -> StepNetwork:
     return StepNetwork(tau, den, low, high, [run[3] for run in state.runs], arcs)
 
 
+def _path(first, leave, take, goal) -> list[int]:
+    """A shortest alternating path [b, a, b, ..., first] from first to the first node b met
+    with goal(b), or [] if there is none. Each a and the b before it gain a unit, each a and
+    the b after it give one up: take(a) lists the b that may gain a unit with a, leave(b)
+    the a that hold one with b. The search queues the b it meets; when one comes off the
+    queue, it scans take(a) of each a in leave(b) not met before."""
+    took: dict[int, int] = {}  # b -> the a that takes it on the path
+    left: dict[int, int] = {}  # a -> the b it leaves on the path; -1 for first
+    queue, via, nodes = deque(), -1, (first,)
+    while True:
+        for a in nodes:
+            if a in left:
+                continue
+            left[a] = via
+            for b in take(a):
+                if b in took:
+                    continue
+                took[b] = a
+                if goal(b):
+                    path = [b, a]
+                    while (b := left[a]) >= 0:
+                        path += (b, a := took[b])
+                    return path
+                queue.append(b)
+        if not queue:
+            return []
+        via = queue.popleft()
+        nodes = leave(via)
+
+
+def _shift(holders: list, classes: list[int], cells: list[int]) -> None:
+    """Move held units along a path: classes[i] takes cells[i] and gives up cells[i - 1].
+    A cell's holders are a dict, made when it first takes a unit, in the order taken."""
+    for i, ci in enumerate(classes):
+        if i:
+            del holders[cells[i - 1]][ci]
+        if not (held := holders[cells[i]]):
+            held = holders[cells[i]] = {}
+        held[ci] = None
+
+
 def integral_step_assignment(net: StepNetwork) -> tuple[tuple[int, ...], ...]:
     """Per class, flat (block position, count) pairs: how many of its groups take each cell.
 
     Pairs come in the class's arc order, positive counts only. Floors the
     fractional flow on every aggregated arc; over the arcs that carry a
-    fractional part, fills each cell below its lower bound from its feeders,
-    searching back only when none has a unit left, then routes the leftovers
-    along augmenting paths to any cell below its upper bound. The result
-    keeps every cell within its bounds and stays within one unit of the
+    fractional part, phase 1 fills each cell below its lower bound, in cell
+    order, from its next feeder with a unit left, and phase 2 routes each
+    class's leftover units to cells below their upper bound. Each unit that no
+    feeder gives directly moves along a path found by _path, the one
+    breadth-first search: from a short cell it queues classes and ends at a
+    class with a unit left; from a class it queues cells and ends at a cell
+    below its upper bound. _shift then moves the held units along it. The
+    result keeps every cell within its bounds and stays within one unit of the
     fractional flow on each aggregated arc.
     """
     den, low, high = net.den, net.low, net.high
@@ -280,15 +324,10 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[int, ...], ...]:
     if any(map(int.__gt__, tally, high)) or min(rem_supply, default=0) < 0:
         raise StepInfeasibleError("floor assignment oversubscribed a node")
 
-    # per cell, the classes holding an extra unit on it (at most one each), as taken
-    holders: list[tuple[int, ...]] = [()] * len(low)
+    holders: list = [()] * len(low)  # per cell, the classes with an extra unit on it, as taken
 
-    # Phase 1 fills each short cell, in cell order, from its next feeder with a unit left
-    # (a class with a fractional arc to it, in class order), or else along a search back
-    # through feeders and the short cells they hold.
     short = [c for c in range(len(low)) if tally[c] < low[c]]
     feeders: dict[int, list[int]] = {c: [] for c in short}
-    extra: set[tuple[int, int]] = set()  # (class, cell) per extra unit held on a short cell
     for ci, frac in enumerate(frac_cells if short else ()):
         for cell in frac:
             if cell in feeders:
@@ -296,75 +335,26 @@ def integral_step_assignment(net: StepNetwork) -> tuple[tuple[int, ...], ...]:
     for target in short:  # a cell gets holders only in its turn, so none hold it yet
         fed = filter(rem_supply.__getitem__, feeders[target])  # lazily: supplies only fall
         while tally[target] < low[target]:
-            ci = next(fed, -1)
-            feeds = {ci: target}  # class -> the cell it takes on the path
-            if ci < 0:
-                gives = {target: -1}  # cell -> the class on the path that gives it up
-                queue = deque([target])
-                while queue and ci < 0:
-                    via = queue.popleft()
-                    for fc in feeders[via]:
-                        if fc in feeds or (fc, via) in extra:
-                            continue
-                        feeds[fc] = via
-                        if rem_supply[fc] > 0:
-                            ci = fc
-                            break
-                        for cell in frac_cells[fc]:
-                            if cell not in gives and (fc, cell) in extra:
-                                gives[cell] = fc
-                                queue.append(cell)
-                if ci < 0:
-                    raise StepInfeasibleError("a cell stays below its lower bound after assignment")
+            path = [ci, target] if (ci := next(fed, -1)) >= 0 else _path(
+                target, lambda k: [c for c in frac_cells[k] if k in holders[c]],
+                lambda c: [k for k in feeders[c] if k not in holders[c]], rem_supply.__getitem__)
+            if not path:
+                raise StepInfeasibleError("a cell stays below its lower bound after assignment")
+            _shift(holders, path[::2], path[1::2])
             tally[target] += 1
-            rem_supply[ci] -= 1
-            while True:
-                cell = feeds[ci]
-                holders[cell] += (ci,)
-                extra.add((ci, cell))
-                if cell == target:
-                    break
-                ci = gives[cell]
-                holders[cell] = tuple([h for h in holders[cell] if h != ci])
-                extra.remove((ci, cell))
-    del feeders, extra  # not read again, and the step peaks after phase 1
+            rem_supply[path[0]] -= 1
+    del feeders  # not read again, and the step peaks after phase 1
 
-    # Phase 2 places the rest under the upper bounds, searching forward from each class.
     for start in [ci for ci, units in enumerate(rem_supply) if units > 0]:
         while rem_supply[start] > 0:
-            parent_cell: dict[int, int] = {}
-            parent_cls: dict[int, int] = {}  # every class the search reached
-            queue = deque([-1])  # full cells in discovery order; -1 walks the start class
-            goal = -1
-            while queue and goal < 0:
-                via = queue.popleft()
-                for ci in holders[via] if via >= 0 else (start,):
-                    if ci in parent_cls:
-                        continue
-                    parent_cls[ci] = via
-                    for cell in frac_cells[ci]:
-                        if cell in parent_cell or ci in holders[cell]:
-                            continue
-                        parent_cell[cell] = ci
-                        if tally[cell] < high[cell]:
-                            goal = cell
-                            break
-                        queue.append(cell)
-                    if goal >= 0:
-                        break
-            if goal < 0:
+            path = _path(start, holders.__getitem__,
+                         lambda k: [c for c in frac_cells[k] if k not in holders[c]],
+                         lambda c: tally[c] < high[c])
+            if not path:
                 raise StepInfeasibleError("no augmenting path; corrupted state")
-            tally[goal] += 1
+            _shift(holders, path[::-2], path[-2::-2])
+            tally[path[0]] += 1
             rem_supply[start] -= 1
-            cell = goal
-            while True:
-                ci = parent_cell[cell]
-                holders[cell] += (ci,)
-                if ci == start:
-                    break
-                prev = parent_cls[ci]
-                holders[prev] = tuple([held for held in holders[prev] if held != ci])
-                cell = prev
 
     result = []
     for ci, (count, arcs) in enumerate(zip(net.counts, net.arcs)):

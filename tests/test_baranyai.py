@@ -359,6 +359,20 @@ class TestLowerBoundsFromTheDeficitSide:
             integral_step_assignment(net)
 
 
+class TestHoldersInTakeOrder:
+    """Phase 2 scans a full cell's holders in the order they took it, not in class order."""
+
+    def test_a_later_holder_with_a_smaller_class_is_scanned_last(self):
+        # den = 3, four classes of one group each; cells W, X, G, E, H = 0..4. Phase 1 gives
+        # W class 0 and X class 1. Class 2 can only go through W, so class 0 moves on to X,
+        # which then holds class 1 before class 0. Class 3 can only go through X: class 1
+        # is scanned first and moves to E; in class order, class 0 would move to G
+        net = StepNetwork(0, 3, [1, 1, 0, 0, 0], [1, 2, 1, 1, 0], [1, 1, 1, 1],
+                          [(0, 1, 0, 1, 1, 1, 2, 1, 2), (1, 1, 0, 3, 2, 1),
+                           (0, 1, 0, 4, 2, 1), (1, 1, 0, 4, 2, 1)])
+        assert integral_step_assignment(net) == ((1, 1), (1, 1), (0, 1), (0, 1))
+
+
 class TestStepNetworkAgainstReference:
     """The one-pass build gives the network of the sorted-numbering build it replaced, up to
     renaming cells, and raises the same error on a corrupted state."""
