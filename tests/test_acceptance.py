@@ -84,6 +84,13 @@ LARGE_SHA256 = {
     (16, 2): "b652f7595ebba784d6a9464a9287706f8479a2ae1ce9f6e1c1606f73b997cf10",
 }
 
+# (sha256, length) of format_array(generate_la(14, 3, variant)), by whether the
+# variant is d-barred: a t-barred variant gives the document of the same variant without the t-bar.
+ARRAY14_3 = {
+    False: ("b6f076dfaaed23f62d9701bd9344546aba6881c1ce492cc91dd31c700973bcfe", 38650),
+    True: ("7ed550bbdbb8c270869feabc592022c10635cc788110f9242baaf5927a5bd247", 38622),
+}
+
 # sha256 of format_spread_system(realize(build_variant_type(16, v))).
 SYSTEM16_SHA256 = {
     2: "7fc081350d986debb47a70ec5d9c58e5489f00e8b5ce73e4b00206f3fce128dc",
@@ -118,6 +125,10 @@ def test_end_to_end_generation():
     for (n, v), want in LARGE_SHA256.items():
         doc = format_array(generate_la(n, v))
         assert hashlib.sha256(doc.encode()).hexdigest() == want, (n, v)
+    for variant in ALL_VARIANTS:
+        doc = format_array(generate_la(14, 3, variant))
+        digest = (hashlib.sha256(doc.encode()).hexdigest(), len(doc))
+        assert digest == ARRAY14_3[variant.d_barred], variant.label
     assert time.time() - start < 300.0
     _report("end-to-end generation: 10x116 verified both ways; n <= 12 sweep exact; bytes pinned")
 

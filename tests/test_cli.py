@@ -110,6 +110,12 @@ class TestTypeRealizeGenerate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_realize_names_the_oversubscribed_size(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("N 4\nv 2\n2 x 0 4\n"))
+        code, out, err = run(["realize", "-"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: type is not admissible: 2 slots of size 0, only 1 subsets available\n"
+
     def test_realize_cap_exit_code(self, tmp_path, capsys):
         type_file = tmp_path / "type.txt"
         type_file.write_text("N 17\nv 2\n1 x 8 9\n")

@@ -1,4 +1,4 @@
-from locarray import build_variant_type, selfcheck
+from locarray import Shape, VType, build_variant_type, selfcheck
 from locarray.baranyai import _finish, advance, decode_slot, expand_runs
 from conftest import encode_slot, run_of
 
@@ -44,6 +44,20 @@ def test_a_run_counts_each_of_its_groups(monkeypatch):
         "block distinctness broken at n=4, v=2",
         "type fidelity broken at n=4, v=2",
         "padded system is not the powerset at n=4, v=2",
+    ]
+
+
+def test_a_broken_count_invariant_names_the_slot(monkeypatch):
+    # every group of the state after the first advance occurs twice
+    def doubled(state):
+        state = advance(state)
+        total = sum(count for *_key, count in state.runs)
+        extra = tuple((*key, first + total, count) for *key, first, count in state.runs)
+        return state._replace(runs=state.runs + extra)
+
+    monkeypatch.setattr(selfcheck, "advance", doubled)
+    assert selfcheck.type_realization_failures(VType(3, 2, {Shape((1, 2)): 1})) == [
+        "count invariant broken at n=3, v=2, tau=1: () target 2 occurs 2 times, at most 1 allowed"
     ]
 
 
