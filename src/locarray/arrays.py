@@ -13,7 +13,7 @@ from operator import and_, or_
 
 from .baranyai import DEFAULT_MAX_N, realize
 from .combinatorics import VARIANT_11, Variant, max_columns
-from .spread_types import SpreadSystem, build_variant_type
+from .spread_types import SpreadSystem, Verdict, build_variant_type
 
 __all__ = [
     "TestArray",
@@ -55,18 +55,6 @@ class TestArray:
     @property
     def k(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of an array property check; falsy with the offending cells named."""
-
-    ok: bool
-    reason: str = ""
-    witness: tuple[tuple[int, int], ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _class_forms(arr: TestArray) -> tuple[list[int], list[int]]:

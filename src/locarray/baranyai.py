@@ -35,11 +35,10 @@ they took it, and stops at the first goal it meets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .combinatorics import binomial
-from .spread_types import Row, SpreadSystem, VType, make_full
+from .spread_types import Row, SpreadSystem, VType, Verdict, make_full
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -118,20 +117,6 @@ class RealizationState(NamedTuple):
         return expand_runs(self.runs)
 
 
-@dataclass(frozen=True)
-class RealizationCheck:
-    """Counting-invariant verdict; falsy with the first offending (block, target)."""
-
-    ok: bool
-    block: Block | None = None
-    target: int | None = None
-    observed: int | None = None
-    expected: int | None = None  # the most occurrences the invariant allows
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 class ClassNode(NamedTuple):
     """A class as StepNetwork.classes gives it: arcs as triples, and skip_numerator 0."""
 
@@ -177,11 +162,12 @@ def init_realization(t: VType) -> RealizationState:
     return RealizationState(t.n, 0, tuple(runs), ())
 
 
-def check_realization(state: RealizationState) -> RealizationCheck:
+def check_realization(state: RealizationState) -> Verdict:
     """Verify the counting invariant of a partial realization.
 
     Every (block, target) pair may occur at most C(n - tau, target - |block|)
     times, and at most zero times if the block holds an element outside 1..tau.
+    A failing verdict names the first pair, in slot order, that occurs too often.
     """
     n, tau, base = state.n, state.tau, state.n + 1
     held: dict[int, int] = {}  # slot -> blocks holding it
@@ -197,8 +183,10 @@ def check_realization(state: RealizationState) -> RealizationCheck:
                 expected = 0
                 break
         if observed > expected:
-            return RealizationCheck(False, *decode_slot(n, s), observed, expected)
-    return RealizationCheck(True)
+            block, m = decode_slot(n, s)
+            reason = f"{block} target {m} occurs {observed} times, at most {expected} allowed"
+            return Verdict(False, reason, ((block, m),))
+    return Verdict(True)
 
 
 def build_step_network(state: RealizationState) -> StepNetwork:

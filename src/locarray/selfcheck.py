@@ -72,10 +72,7 @@ def type_realization_failures(t: VType) -> list[str]:
         state = advance(state)
         chk = check_realization(state)
         if not chk:
-            return [
-                f"count invariant broken at n={n}, v={v}, tau={state.tau}: {chk.block} "
-                f"target {chk.target} occurs {chk.observed} times, at most {chk.expected} allowed"
-            ]
+            return [f"count invariant broken at n={n}, v={v}, tau={state.tau}: {chk.reason}"]
     fails = []
     rows = _finish(state)
     spreads = [tuple(decode_slot(n, s)[0] for s in g) for g in expand_runs(advance(state).runs)]

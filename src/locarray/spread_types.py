@@ -16,12 +16,12 @@ from typing import Iterable, Mapping, NamedTuple
 from .combinatorics import VARIANT_11, Variant, max_columns
 
 __all__ = [
-    "Admissibility",
     "InadmissibleTypeError",
     "Row",
     "Shape",
     "SpreadSystem",
     "VType",
+    "Verdict",
     "balanced_shape",
     "build_variant_type",
     "is_admissible",
@@ -134,13 +134,13 @@ class SpreadSystem(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Admissibility:
-    """Outcome of the capacity check; falsy with the least oversubscribed size."""
+class Verdict:
+    """Outcome of a check; falsy with what is wrong and a witness of the offending items:
+    (column, symbol) cells for an array, a size for a type, (block, target) for a state."""
 
     ok: bool
-    size: int | None = None
-    used: int | None = None
-    capacity: int | None = None
+    reason: str = ""
+    witness: tuple = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -149,24 +149,24 @@ class Admissibility:
 class InadmissibleTypeError(ValueError):
     """An operation needed an admissible type but the capacity check failed."""
 
-    def __init__(self, verdict: Admissibility) -> None:
+    def __init__(self, verdict: Verdict) -> None:
         self.verdict = verdict
-        super().__init__(
-            f"type is not admissible: {verdict.used} slots of size {verdict.size}, "
-            f"only {verdict.capacity} subsets available"
-        )
+        super().__init__(f"type is not admissible: {verdict.reason}")
 
 
-def is_admissible(t: VType) -> Admissibility:
-    """Check sigma(x) <= C(n, x) for x = 0, 1, ... up to the largest block size."""
+def is_admissible(t: VType) -> Verdict:
+    """Check sigma(x) <= C(n, x) for x = 0, 1, ... up to the largest block size.
+
+    A failing verdict names the least size x whose slots outnumber the x-subsets."""
     largest = max((shape.entries[-1] for shape, _ in t.items()), default=-1)
     capacity = 1  # C(n, x), advanced by C(n, x+1) = C(n, x) * (n-x) / (x+1)
     for x in range(largest + 1):
         used = t.sigma(x)
         if used > capacity:
-            return Admissibility(False, x, used, capacity)
+            return Verdict(False, f"{used} slots of size {x}, only {capacity} subsets available",
+                           (x,))
         capacity = capacity * (t.n - x) // (x + 1)
-    return Admissibility(True)
+    return Verdict(True)
 
 
 def balanced_shape(n: int, v: int, i: int) -> Shape:

@@ -9,9 +9,13 @@ import pytest
 from locarray import (
     CapExceededError,
     Shape,
+    TestArray,
     VType,
+    Verdict,
     build_variant_type,
+    is_admissible,
     realize,
+    verify_la,
 )
 from locarray.baranyai import (
     RealizationState,
@@ -217,17 +221,29 @@ class TestCheckRealization:
         groups[0] = group(state.n, blocks, targets)
         verdict = check_realization(state_of_groups(state.n, state.tau, groups))
         assert not verdict
-        assert verdict.block == blocks[0]
-        assert verdict.observed > verdict.expected == 0
+        assert verdict.reason == f"{blocks[0]} target {targets[0]} occurs 1 times, at most 0 allowed"
+        assert verdict.witness == ((blocks[0], targets[0]),)
         # over-counts: a repeated group, and at tau = 0 two (0, 4) shapes on 4 points
         doubled = state_of_groups(state.n, state.tau, groups_of(state) * 2)
         verdict = check_realization(doubled)
         assert not verdict
-        assert verdict.observed == verdict.expected + 1 == 2
+        assert verdict.reason == "() target 2 occurs 2 times, at most 1 allowed"
+        assert verdict.witness == (((), 2),)
         empty = group(4, ((), ()), (0, 4))
         verdict = check_realization(state_of_groups(4, 0, (empty, empty)))
         assert not verdict
-        assert (verdict.block, verdict.observed, verdict.expected) == ((), 2, 1)
+        assert verdict.reason == "() target 0 occurs 2 times, at most 1 allowed"
+        assert verdict.witness == (((), 0),)
+
+    def test_every_check_fails_with_a_verdict(self):
+        empty = group(4, ((), ()), (0, 4))
+        failures = [
+            is_admissible(VType(4, 2, {Shape((0, 4)): 2})),
+            check_realization(state_of_groups(4, 0, (empty, empty))),
+            verify_la(TestArray(((0, 0),), 2)),
+        ]
+        assert [type(verdict) for verdict in failures] == [Verdict] * 3
+        assert not any(failures)
 
     def test_a_run_counts_each_of_its_groups(self):
         # one run of two identical groups over-counts as the two groups listed apart do
@@ -499,7 +515,8 @@ class TestRealize:
     def test_inadmissible_type_rejected_with_witness(self):
         with pytest.raises(InadmissibleTypeError) as err:
             realize(VType(4, 2, {Shape((0, 4)): 2}))
-        assert err.value.verdict.size == 0
+        assert err.value.verdict.reason == "2 slots of size 0, only 1 subsets available"
+        assert err.value.verdict.witness == (0,)
 
     def test_shape_that_misses_an_element_rejected(self):
         # the type is refused when built, so realize never sees it

@@ -13,6 +13,7 @@ from locarray import (
     VARIANT_BAR1_BAR1,
     Shape,
     VType,
+    Verdict,
     build_variant_type,
     is_admissible,
     max_columns,
@@ -75,14 +76,16 @@ class TestAdmissibility:
     def test_two_zero_entries_violate(self):
         verdict = is_admissible(VType(6, 3, {Shape((0, 3, 3)): 2}))
         assert not verdict
-        assert verdict.size == 0 and verdict.used == 2 and verdict.capacity == 1
+        assert verdict.reason == "2 slots of size 0, only 1 subsets available"
+        assert verdict.witness == (0,)
 
     def test_tight_size_overflows(self):
         # the size-2 capacity of the optimal type at n=6, v=3 is already met
         t = VType(6, 3, list(build_variant_type(6, 3).items()) + [(Shape((2, 2, 2)), 1)])
         verdict = is_admissible(t)
         assert not verdict
-        assert verdict.size == 2 and verdict.used == 18 and verdict.capacity == 15
+        assert verdict.reason == "18 slots of size 2, only 15 subsets available"
+        assert verdict.witness == (2,)
 
     def test_matches_a_per_size_reference(self):
         # optimal types, each multiplicity cut to a random part, plus three random
@@ -101,8 +104,9 @@ class TestAdmissibility:
                 shapes.append((Shape(tuple(entries)), 1))
             t = VType(n, v, shapes)
             got = is_admissible(t)
-            want = reference_admissibility(t)
-            assert (got.ok, got.size, got.used, got.capacity) == want, t
+            ok, size, used, capacity = reference_admissibility(t)
+            reason = f"{used} slots of size {size}, only {capacity} subsets available"
+            assert got == (Verdict(True) if ok else Verdict(False, reason, (size,))), t
             verdicts[got.ok] += 1
         assert verdicts[True] and verdicts[False], verdicts
 
