@@ -7,9 +7,9 @@ interaction is covered by every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import and_, or_
+from typing import NamedTuple
 
 from .baranyai import DEFAULT_MAX_N, realize
 from .combinatorics import VARIANT_11, Variant, max_columns
@@ -26,27 +26,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestArray:
-    """An n x k array with entries in 0..v-1, where 1 <= v <= n + 1."""
+class TestArray(NamedTuple("TestArray", [("rows", tuple), ("v", int)])):
+    """An n x k array with entries in 0..v-1, where 1 <= v <= n + 1: the pair (rows, v)."""
 
+    __slots__ = ()
     __test__ = False  # not a pytest case, despite the name
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    rows: tuple[tuple[int, ...], ...]
-    v: int
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not 1 <= self.v <= VARIANT_11.max_symbols(len(rows)):  # one empty class at most
-            raise ValueError(f"need 1 <= v <= n + 1, got v={self.v} with n={len(rows)}")
+    def __new__(cls, rows, v: int) -> TestArray:
+        rows = tuple(tuple(r) for r in rows)
+        if not 1 <= v <= VARIANT_11.max_symbols(len(rows)):  # one empty class at most
+            raise ValueError(f"need 1 <= v <= n + 1, got v={v} with n={len(rows)}")
         for r in rows:
             if len(r) != len(rows[0]):
                 raise ValueError("rows have unequal lengths")
             symbols = set(r)  # a few distinct values: cheaper to range-check than the row
-            if min(symbols, default=0) < 0 or max(symbols, default=0) >= self.v:
-                bad = next(a for a in r if not 0 <= a < self.v)
-                raise ValueError(f"entry {bad} outside 0..{self.v - 1}")
+            if min(symbols, default=0) < 0 or max(symbols, default=0) >= v:
+                bad = next(a for a in r if not 0 <= a < v)
+                raise ValueError(f"entry {bad} outside 0..{v - 1}")
+        return super().__new__(cls, rows, v)
 
     @property
     def n_rows(self) -> int:

@@ -6,7 +6,7 @@ Everything here is exact arbitrary-precision integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ALL_VARIANTS",
@@ -34,8 +34,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(NamedTuple):
     """Which array flavour is meant, and the rule that follows from it.
 
     d_barred: at most one faulty (column, symbol) cell instead of exactly one.
@@ -76,8 +75,7 @@ ALL_VARIANTS = (VARIANT_11, VARIANT_BAR1_1, VARIANT_1_BAR1, VARIANT_BAR1_BAR1)
 VARIANT_LABELS = {v.label: v for v in ALL_VARIANTS}
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     """Derived quantities behind the optimal column count for a given n and v.
 
     f is the near-uniform block size floor((n+1)/v); d is the shortfall

@@ -10,7 +10,6 @@ and gives spread systems, held as the rows of their arrays.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .combinatorics import VARIANT_11, Variant, max_columns
@@ -30,27 +29,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Shape:
-    """A nonempty multiset of nonnegative block sizes, stored sorted ascending."""
+class Shape(tuple):
+    """A nonempty multiset of nonnegative block sizes: the tuple of them sorted ascending."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ent = tuple(sorted(self.entries))
-        if not ent or ent[0] < 0:
+    def __new__(cls, entries: Iterable[int]) -> Shape:
+        self = super().__new__(cls, sorted(entries))
+        if not self or self[0] < 0:
             raise ValueError("a shape needs one or more nonnegative block sizes")
-        object.__setattr__(self, "entries", ent)
+        return self
 
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    entries = property(tuple)  # the sizes as a plain tuple
+    total = property(sum)
 
     def __repr__(self) -> str:
-        return f"Shape({list(self.entries)!r})"
+        return f"Shape({list(self)!r})"
 
 
 class VType:
@@ -133,8 +127,7 @@ class SpreadSystem(NamedTuple):
         return tuple(spreads)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a check; falsy with what is wrong and a witness of the offending items:
     (column, symbol) cells for an array, a size for a type, (block, target) for a state."""
 

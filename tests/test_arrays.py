@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import reduce
 from itertools import combinations, product
@@ -51,6 +52,22 @@ class TestTestArray:
             TestArray(((0, 1), (1, 0), (-2, 5)), v=2)
         with pytest.raises(ValueError, match="^rows have unequal lengths$"):
             TestArray(((0, 1), (1,), (5, 5)), v=2)
+
+    def test_pickle_round_trip(self):
+        copy = pickle.loads(pickle.dumps(ARR34))
+        assert copy == ARR34 and type(copy) is TestArray and repr(copy) == repr(ARR34)
+
+    def test_loading_a_pickle_checks_the_array_again(self):
+        # entries 0 and 1 only, so the one 1-byte int 3 in the stream is v; set it to 1
+        data = pickle.dumps(TestArray(((0, 1), (1, 0)), v=3), protocol=2)
+        assert data.count(b"K\x03") == 1
+        with pytest.raises(ValueError, match=r"^entry 1 outside 0\.\.0$"):
+            pickle.loads(data.replace(b"K\x03", b"K\x01"))
+
+    def test_a_replaced_field_is_checked(self):
+        assert ARR34._replace(v=3) == TestArray(ARR34.rows, 3)
+        with pytest.raises(ValueError, match=r"^entry 1 outside 0\.\.0$"):
+            ARR34._replace(v=1)
 
 
 class TestSpreadsToArray:

@@ -215,6 +215,16 @@ class TestVerify:
             code, out, _ = run(["verify", str(arr_file), "--variant", variant], capsys)
             assert code == 0
 
+    def test_rows_that_disagree_with_the_header_rejected(self, tmp_path, capsys):
+        arr_file = tmp_path / "arr.txt"
+        for text, message in [
+            ("2 3 2\n0 1 0\n1 0\n", "expected 3 entries per row, got 2"),
+            ('{"n": 2, "k": 3, "v": 2, "rows": [[0, 1], [1, 0]]}', "array header disagrees with its rows"),
+        ]:
+            arr_file.write_text(text)
+            code, out, err = run(["verify", str(arr_file)], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), text
+
 
 class TestMalformedDocuments:
     CASES = [
@@ -339,6 +349,14 @@ class TestSelftest:
         lines = out.splitlines()
         assert len(lines) == 5
         assert all(ln.endswith(": PASS") for ln in lines)
+
+    def test_a_failing_suite_shows_its_first_five_problems(self, capsys, monkeypatch):
+        suites = [("x", lambda: [f"problem {i}" for i in range(7)]), ("y", lambda: [])]
+        monkeypatch.setattr(cli, "SUITES", suites)
+        code, out, err = run(["selftest"], capsys)
+        assert (code, err) == (1, "")
+        assert out == ("x: FAIL (7 problems)\n" + "".join(f"  problem {i}\n" for i in range(5))
+                       + "y: PASS\n")
 
 
 class TestHelp:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import sys
 
 import pytest
@@ -57,6 +58,11 @@ class TestVariants:
 
     def test_fields(self):
         assert Variant(True, False).d_barred and not Variant(True, False).t_barred
+
+    def test_pickle_round_trip(self):
+        for variant in ALL_VARIANTS:
+            copy = pickle.loads(pickle.dumps(variant))
+            assert copy == variant and type(copy) is Variant and copy.label == variant.label
 
 
 class TestMaxColumns:

@@ -4,6 +4,8 @@ and the README's module map and library sketch name the modules and the library 
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import locarray
 
 MODULES = ["locarray"] + [f"locarray.{m.name}" for m in pkgutil.iter_modules(locarray.__path__)]
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def readme_section(title):
@@ -39,3 +42,11 @@ def test_module_map_names_every_module():
 def test_library_sketch_names_the_whole_library():
     sketch = set(re.findall(r"`([^`]+)`", readme_section("Library sketch")))
     assert [name for name in locarray.__all__ if name not in sketch] == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every record is a tuple type; -S keeps site hooks from importing either module
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import locarray.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -41,6 +42,24 @@ class TestShape:
     def test_ordering(self):
         assert Shape((0, 3, 3)) < Shape((1, 2, 3)) < Shape((2, 2, 2))
 
+    def test_a_value_of_its_sorted_sizes(self):
+        assert Shape((2, 1)) == Shape((1, 2)) and hash(Shape((2, 1))) == hash(Shape((1, 2)))
+        assert Shape((2, 1)) != Shape((1, 1, 1)) and len(Shape((2, 1))) == 2
+        assert sorted([Shape((2, 2)), Shape((1, 3)), Shape((0, 4)), Shape((0, 0, 4))]) == [
+            Shape((0, 0, 4)), Shape((0, 4)), Shape((1, 3)), Shape((2, 2))]
+        assert repr(Shape((3, 1, 2))) == "Shape([1, 2, 3])" and Shape((3, 1, 2)).total == 6
+
+    def test_rejections_say_what_a_shape_needs(self):
+        for sizes in [(), (1, -1)]:
+            with pytest.raises(ValueError, match="^a shape needs one or more nonnegative block sizes$"):
+                Shape(sizes)
+
+    def test_pickle_round_trip(self):
+        for value in [Shape((3, 0, 1)), Verdict(True), Verdict(False, "two slots", (2,))]:
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value) and repr(copy) == repr(value)
+        assert not pickle.loads(pickle.dumps(Verdict(False, "two slots", (2,))))
+
 
 class TestVType:
     def test_merges_duplicate_shapes(self):
@@ -67,6 +86,18 @@ class TestVType:
         assert t.sigma(2) == 6 + 9
         assert t.sigma(1) == 6
         assert t.sigma(5) == 0
+
+    def test_needs_a_row_and_two_symbols(self):
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+            VType(0, 2)
+        with pytest.raises(ValueError, match="^need v >= 2, got 1$"):
+            VType(3, 1)
+
+    def test_repr_and_equality(self):
+        t = VType(4, 2, {Shape((3, 1)): 2, Shape((2, 2)): 1})
+        assert repr(t) == "VType(n=4, v=2, [[1, 3]x2, [2, 2]x1])"
+        assert t == VType(4, 2, [(Shape((2, 2)), 1), (Shape((1, 3)), 2)])
+        assert (t == object()) is False and t != VType(4, 2, {Shape((2, 2)): 1})
 
 
 class TestAdmissibility:
