@@ -47,60 +47,44 @@ class Shape(tuple):
         return f"Shape({list(self)!r})"
 
 
-class VType:
-    """A multiset of shapes over the ground set {1..n}, with symbol count v.
+class VType(NamedTuple("VType", [("n", int), ("v", int), ("shapes", tuple)])):
+    """A multiset of shapes over the ground set {1..n}, with symbol count v: the triple
+    (n, v, shapes) of its (shape, multiplicity) pairs, in shape order. Every shape has v
+    entries summing to n: the block sizes of one spread."""
 
-    Every shape has v entries summing to n: the block sizes of one spread.
-    The size-x slot counts sigma(x) are tallied once, while the shapes merge.
-    """
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    __slots__ = ("n", "v", "_shapes", "_slots")
-
-    def __init__(
-        self,
-        n: int,
-        v: int,
-        shapes: Mapping[Shape, int] | Iterable[tuple[Shape, int]] = (),
-    ) -> None:
+    def __new__(cls, n: int, v: int,
+                shapes: Mapping[Shape, int] | Iterable[tuple[Shape, int]] = ()) -> VType:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if v < 2:
             raise ValueError(f"need v >= 2, got {v}")
         items = shapes.items() if isinstance(shapes, Mapping) else shapes
         merged: dict[Shape, int] = {}
-        slots: Counter[int] = Counter()
         for shape, count in items:
             if count <= 0:
                 raise ValueError(f"multiplicity of {shape} must be positive")
             if len(shape) != v or shape.total != n:
                 raise ValueError(f"{shape} does not partition {n} elements into {v} blocks")
             merged[shape] = merged.get(shape, 0) + count
-            for x in shape.entries:
-                slots[x] += count
-        self.n = n
-        self.v = v
-        self._shapes = dict(sorted(merged.items()))
-        self._slots = slots
+        return super().__new__(cls, n, v, tuple(sorted(merged.items())))
 
     def items(self) -> list[tuple[Shape, int]]:
         """(shape, multiplicity) pairs in canonical (lexicographic) order."""
-        return list(self._shapes.items())
+        return list(self.shapes)
 
     def size(self) -> int:
         """Total number of shapes, counted with multiplicity."""
-        return sum(self._shapes.values())
+        return sum(count for _, count in self.shapes)
 
     def sigma(self, x: int) -> int:
         """Number of size-x slots across all shapes, counted with multiplicity."""
-        return self._slots[x]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VType):
-            return NotImplemented
-        return (self.n, self.v, self._shapes) == (other.n, other.v, other._shapes)
+        return sum(shape.count(x) * count for shape, count in self.shapes)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{list(s.entries)}x{c}" for s, c in self._shapes.items())
+        body = ", ".join(f"{list(s.entries)}x{c}" for s, c in self.shapes)
         return f"VType(n={self.n}, v={self.v}, [{body}])"
 
 
@@ -148,13 +132,17 @@ class InadmissibleTypeError(ValueError):
 
 
 def is_admissible(t: VType) -> Verdict:
-    """Check sigma(x) <= C(n, x) for x = 0, 1, ... up to the largest block size.
+    """Check sigma(x) <= C(n, x) for x = 0, 1, ... up to the largest block size,
+    with every sigma(x) tallied in one pass over the (shape, multiplicity) pairs.
 
     A failing verdict names the least size x whose slots outnumber the x-subsets."""
-    largest = max((shape.entries[-1] for shape, _ in t.items()), default=-1)
+    slots: Counter[int] = Counter()
+    for shape, count in t.shapes:
+        for x in shape:
+            slots[x] += count
     capacity = 1  # C(n, x), advanced by C(n, x+1) = C(n, x) * (n-x) / (x+1)
-    for x in range(largest + 1):
-        used = t.sigma(x)
+    for x in range(max(slots, default=-1) + 1):
+        used = slots[x]
         if used > capacity:
             return Verdict(False, f"{used} slots of size {x}, only {capacity} subsets available",
                            (x,))

@@ -433,3 +433,12 @@ class TestGenerateLa:
 
     def test_deterministic(self):
         assert generate_la(6, 3) == generate_la(6, 3)
+
+    def test_a_realization_short_of_the_bound_is_an_internal_error(self, monkeypatch):
+        def short(t, max_n):  # the realization with its last column dropped
+            system = realize(t, max_n=max_n)
+            return system._replace(rows=tuple(row[:-1] for row in system.rows))
+        monkeypatch.setattr("locarray.arrays.realize", short)
+        with pytest.raises(RuntimeError,
+                           match="^internal: generated width disagrees with the exact optimum$"):
+            generate_la(5, 3)

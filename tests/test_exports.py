@@ -44,6 +44,15 @@ def test_library_sketch_names_the_whole_library():
     assert [name for name in locarray.__all__ if name not in sketch] == []
 
 
+def test_every_class_is_a_tuple_type_or_an_exception():
+    # one record form: a value of the library is immutable once its checks have run
+    classes = {obj for name in MODULES for obj in vars(importlib.import_module(name)).values()
+               if isinstance(obj, type) and obj.__module__ in MODULES}
+    others = [f"{c.__module__}.{c.__qualname__}" for c in classes
+              if not issubclass(c, (tuple, BaseException))]
+    assert others == []
+
+
 def test_the_cli_loads_neither_dataclasses_nor_inspect():
     # every record is a tuple type; -S keeps site hooks from importing either module
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import locarray.cli; "

@@ -61,6 +61,10 @@ class TestEnumeratePartitions:
             elems = [e for cl in part for e in cl]
             assert sorted(elems) == [1, 2, 3, 4, 5]
 
+    def test_needs_a_symbol(self):
+        with pytest.raises(ValueError, match="^need v >= 1, got 0$"):
+            list(enumerate_partitions(3, 0, True))
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             list(enumerate_partitions(9, 2, allow_empty=True))

@@ -99,6 +99,33 @@ class TestVType:
         assert t == VType(4, 2, [(Shape((2, 2)), 1), (Shape((1, 3)), 2)])
         assert (t == object()) is False and t != VType(4, 2, {Shape((2, 2)): 1})
 
+    def test_pickle_round_trip(self):
+        t = VType(6, 3, {Shape((1, 2, 3)): 6, Shape((2, 2, 2)): 3})
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and type(copy) is VType and repr(copy) == repr(t)
+
+    def test_loading_a_pickle_checks_the_type_again(self):
+        # sizes 1 and 3, v = 2 and count 2, so the one 1-byte int 4 in the stream is n; set it to 5
+        data = pickle.dumps(VType(4, 2, {Shape((1, 3)): 2}), protocol=2)
+        assert data.count(b"K\x04") == 1
+        with pytest.raises(ValueError, match=r"^Shape\(\[1, 3\]\) does not partition 5 elements"):
+            pickle.loads(data.replace(b"K\x04", b"K\x05"))
+
+    def test_a_replaced_field_is_checked(self):
+        t = VType(4, 2, {Shape((1, 3)): 2})
+        assert t._replace(shapes={Shape((2, 2)): 1}) == VType(4, 2, {Shape((2, 2)): 1})
+        with pytest.raises(ValueError,
+                           match=r"^Shape\(\[1, 3\]\) does not partition 5 elements into 2 blocks$"):
+            t._replace(n=5)
+
+    def test_a_value_that_cannot_change_after_its_checks(self):
+        t = VType(4, 2, {Shape((1, 3)): 2})
+        with pytest.raises(AttributeError):
+            t.n = 7
+        assert t.n == 4 and is_admissible(t)
+        twin = VType(4, 2, [(Shape((3, 1)), 1), (Shape((1, 3)), 1)])
+        assert hash(twin) == hash(t) and len({t, twin}) == 1
+
 
 class TestAdmissibility:
     def test_optimal_type_admissible(self):
@@ -176,6 +203,10 @@ class TestBalancedShape:
             balanced_shape(5, 3, 3)
         with pytest.raises(ValueError):
             balanced_shape(5, 3, -1)
+
+    def test_needs_a_row_and_two_symbols(self):
+        with pytest.raises(ValueError, match="^need n >= 1 and v >= 2; got n=0, v=2$"):
+            balanced_shape(0, 2, 0)
 
     def test_top_level_missing_in_residue_case(self):
         # 5 = 2 (mod 3): the top balanced shape does not exist
