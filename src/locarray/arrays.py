@@ -56,24 +56,32 @@ class TestArray(NamedTuple("TestArray", [("rows", tuple), ("v", int)])):
 
 
 def _class_forms(arr: TestArray) -> tuple[list[int], list[int]]:
-    """Both forms of the column classes, read off the rows by string work in C.
+    """Both forms of the column classes, read off the rows by translate in C.
 
     By class: per class (c, s) in column-major order, its row bitmask (bit r-1
     set when row r shows s in column c). By row: per row, bit (c-1)*v + s set
-    when the row shows s in column c. Symbols become characters, which
-    str.translate turns into binary digits, symbol by symbol, for int(..., 2)."""
+    when the row shows s in column c. Symbols become bytes, or characters when
+    v > 256, which translate turns into binary digits, symbol by symbol, for int(..., 2)."""
     n, k, v = arr.n_rows, arr.k, arr.v
-    lines = ["".join(map(chr, row)) for row in arr.rows]
-    # column by column, after a pad chr(v) that reads "0", the last row first
-    columns = "".join(chain.from_iterable(zip(chr(v) * k, *reversed(lines))))
-    rows = "".join(chr(v) + line[::-1] for line in reversed(lines))  # likewise, row by row
+    if not k:
+        return [], [0] * n
+    if v <= 256:
+        lines = [bytes(r) for r in arr.rows]
+        columns = bytearray(k * n)  # column by column, the last row first
+        for i, line in enumerate(reversed(lines)):
+            columns[i::n] = line
+        rows, zero, one, width, encode = b"".join(lines)[::-1], b"0", b"1", 256, bytes  # likewise
+    else:  # chr reaches up to v = 0x110000
+        lines = ["".join(map(chr, r)) for r in arr.rows]
+        columns = "".join(chain.from_iterable(zip(*reversed(lines))))
+        rows, zero, one, width, encode = "".join(lines)[::-1], "0", "1", v, str.encode
     by_column, digits = [], bytearray(len(rows) * v)
     for s in range(v):
-        table = ["0"] * s + ["1"] + ["0"] * (v - s)  # "1" for s only
+        table = zero * s + one + zero * (width - 1 - s)  # "1" for s only
         bits = columns.translate(table)
-        by_column.append([int(bits[i:i + n + 1], 2) for i in range(0, len(bits), n + 1)])
-        digits[v - 1 - s::v] = rows.translate(table).encode()  # the v digits of a column, s last
-    by_row = [int(digits[i:i + (k + 1) * v], 2) for i in range(0, len(digits), (k + 1) * v)]
+        by_column.append([int(bits[i:i + n], 2) for i in range(0, len(bits), n)])
+        digits[v - 1 - s::v] = encode(rows.translate(table))  # the v digits of an entry, s last
+    by_row = [int(digits[i:i + k * v], 2) for i in range(0, len(digits), k * v)]
     return list(chain.from_iterable(zip(*by_column))), by_row[::-1]
 
 

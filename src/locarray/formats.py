@@ -28,6 +28,8 @@ __all__ = [
     "parse_type",
 ]
 
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # each ASCII digit to its value
+
 
 def _looks_like_json(text: str) -> bool:
     return text.lstrip().startswith("{")
@@ -69,6 +71,8 @@ def _ints(tokens: list[str]) -> tuple[int, ...]:
     if tokens and not (digits.isascii() and digits.isdigit()):
         bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
         raise ValueError(f"expected a decimal number, got {bad!r:.40}")
+    if len(digits) == len(tokens):  # split tokens, none empty: one digit each, read in one pass
+        return tuple(digits.encode().translate(_DIGIT_VALUES))
     return tuple(map(int, tokens))
 
 

@@ -276,7 +276,10 @@ class TestChunkEdges:
     def test_class_forms_match_entry_by_entry(self):
         edges = [TestArray((), 1), TestArray(((), (), ()), 2), TestArray(((0, 0, 0),), 1),
                  TestArray(((0, 1, 2), (2, 2, 0)), 3), TestArray(((0,), (0,), (0,)), 1),
-                 TestArray(tuple((r % 5, 3 - r % 4) for r in range(4)), 5)]
+                 TestArray(tuple((r % 5, 3 - r % 4) for r in range(4)), 5),
+                 # the last v whose symbols are bytes, and the first past it
+                 TestArray(tuple((r, 255 - r % 3) for r in range(255)), 256),
+                 TestArray(tuple((r, 256 - r % 3) for r in range(256)), 257)]
         for arr in [*edges, *self.arrays()]:
             assert _class_forms(arr) == reference_forms(arr), arr
 

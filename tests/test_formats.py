@@ -67,6 +67,15 @@ def documents(*keys: str) -> st.SearchStrategy:
     return st.fixed_dictionaries(values).map(json.dumps)
 
 
+@st.composite
+def digit_rows(draw):
+    """(v, rows of ASCII-digit tokens): one-digit, multi-digit and zero-padded ones in a row."""
+    v = draw(st.integers(1, 13))
+    token = st.builds(lambda a, zeros: "0" * zeros + str(a), st.integers(0, v - 1), st.integers(0, 2))
+    k, n = draw(st.integers(0, 6)), draw(st.integers(max(v - 1, 1), v + 2))
+    return v, draw(st.lists(st.lists(token, min_size=k, max_size=k), min_size=n, max_size=n))
+
+
 GARBAGE = (
     st.text()
     | documents("n", "v", "shapes")
@@ -86,6 +95,14 @@ class TestRoundTrip:
     @given(types(), FORMATS)
     def test_type(self, t, fmt):
         assert parse_type(format_type(t, fmt)) == t
+
+    @PROPERTY
+    @given(digit_rows())
+    def test_digit_tokens_read_as_int_reads_them(self, doc):
+        """Rows of one-digit tokens take a faster path than the others: both give int()."""
+        v, rows = doc
+        text = f"{len(rows)} {len(rows[0])} {v}\n" + "".join(" ".join(r) + "\n" for r in rows)
+        assert parse_array(text).rows == tuple(tuple(map(int, r)) for r in rows)
 
 
 class TestFuzz:
@@ -113,3 +130,4 @@ def test_two_digit_symbols_are_written_as_str_writes_them():
     arr = TestArray(tuple(tuple(rng.randrange(12) for _ in range(30)) for _ in range(11)), 12)
     want = "11 30 12\n" + "".join(" ".join(str(a) for a in row) + "\n" for row in arr.rows)
     assert format_array(arr) == want
+    assert parse_array(want) == arr
