@@ -27,24 +27,31 @@ __all__ = [
 
 
 class TestArray(NamedTuple("TestArray", [("rows", tuple), ("v", int)])):
-    """An n x k array with entries in 0..v-1, where 1 <= v <= n + 1: the pair (rows, v)."""
+    """The pair (rows, v): n x k entries in 0..v-1, 1 <= v <= n + 1; bytes rows while v <= 256."""
 
     __slots__ = ()
     __test__ = False  # not a pytest case, despite the name
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     def __new__(cls, rows, v: int) -> TestArray:
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(r if isinstance(r, (bytes, bytearray)) else tuple(r) for r in rows)
         if not 1 <= v <= VARIANT_11.max_symbols(len(rows)):  # one empty class at most
             raise ValueError(f"need 1 <= v <= n + 1, got v={v} with n={len(rows)}")
+        symbols, lines = bytes(range(min(v, 256))), []
         for r in rows:
             if len(r) != len(rows[0]):
                 raise ValueError("rows have unequal lengths")
-            symbols = set(r)  # a few distinct values: cheaper to range-check than the row
-            if min(symbols, default=0) < 0 or max(symbols, default=0) >= v:
+            try:  # one byte an entry while v <= 256, as the engine writes rows
+                line = bytes(r) if v <= 256 else tuple(r)
+            except ValueError:  # an entry outside 0..255
+                line = r
+            # the entries to range-check: the bytes translate leaves, in C, or the distinct ints
+            seen = set(line.translate(None, symbols) if type(line) is bytes else line)
+            if min(seen, default=0) < 0 or max(seen, default=0) >= v:
                 bad = next(a for a in r if not 0 <= a < v)
                 raise ValueError(f"entry {bad} outside 0..{v - 1}")
-        return super().__new__(cls, rows, v)
+            lines.append(line)
+        return super().__new__(cls, tuple(lines), v)
 
     @property
     def n_rows(self) -> int:
@@ -55,34 +62,41 @@ class TestArray(NamedTuple("TestArray", [("rows", tuple), ("v", int)])):
         return len(self.rows[0]) if self.rows else 0
 
 
-def _class_forms(arr: TestArray) -> tuple[list[int], list[int]]:
-    """Both forms of the column classes, read off the rows by translate in C.
+def _tables(v: int):
+    """Per symbol s, the translate table that makes s the digit 1 and any other symbol 0."""
+    zero, one, width = (b"0", b"1", 256) if v <= 256 else ("0", "1", v)  # chr reaches 0x110000
+    return (zero * s + one + zero * (width - 1 - s) for s in range(v))
 
-    By class: per class (c, s) in column-major order, its row bitmask (bit r-1
-    set when row r shows s in column c). By row: per row, bit (c-1)*v + s set
-    when the row shows s in column c. Symbols become bytes, or characters when
-    v > 256, which translate turns into binary digits, symbol by symbol, for int(..., 2)."""
-    n, k, v = arr.n_rows, arr.k, arr.v
-    if not k:
-        return [], [0] * n
-    if v <= 256:
-        lines = [bytes(r) for r in arr.rows]
+
+def _class_masks(arr: TestArray) -> list[int]:
+    """Per class (c, s) in column-major order, its row bitmask: bit r-1 set when row r
+    shows s in column c, read by int(..., 2) off the columns translated to binary digits."""
+    n, k = arr.n_rows, arr.k
+    if arr.v <= 256:
         columns = bytearray(k * n)  # column by column, the last row first
-        for i, line in enumerate(reversed(lines)):
+        for i, line in enumerate(reversed(arr.rows)):
             columns[i::n] = line
-        rows, zero, one, width, encode = b"".join(lines)[::-1], b"0", b"1", 256, bytes  # likewise
-    else:  # chr reaches up to v = 0x110000
-        lines = ["".join(map(chr, r)) for r in arr.rows]
-        columns = "".join(chain.from_iterable(zip(*reversed(lines))))
-        rows, zero, one, width, encode = "".join(lines)[::-1], "0", "1", v, str.encode
-    by_column, digits = [], bytearray(len(rows) * v)
-    for s in range(v):
-        table = zero * s + one + zero * (width - 1 - s)  # "1" for s only
-        bits = columns.translate(table)
-        by_column.append([int(bits[i:i + n], 2) for i in range(0, len(bits), n)])
-        digits[v - 1 - s::v] = encode(rows.translate(table))  # the v digits of an entry, s last
-    by_row = [int(digits[i:i + k * v], 2) for i in range(0, len(digits), k * v)]
-    return list(chain.from_iterable(zip(*by_column))), by_row[::-1]
+    else:
+        columns = "".join(map(chr, chain.from_iterable(zip(*reversed(arr.rows)))))
+    marks = list(map(columns.translate, _tables(arr.v)))
+    return [int(bits[i:i + n], 2) for i in range(0, k * n, n) for bits in marks] if k else []
+
+
+def _row_masks(arr: TestArray) -> list[int]:
+    """Per row, bit (c-1)*v + s set when the row shows s in column c."""
+    k, v = arr.k, arr.v
+    if not k:
+        return [0] * arr.n_rows
+    rows = b"".join(arr.rows) if v <= 256 else "".join(map(chr, chain.from_iterable(arr.rows)))
+    rows, digits = rows[::-1], bytearray(len(rows) * v)  # the last row first
+    for s, table in enumerate(_tables(v)):  # the v digits of an entry, s last
+        marks = rows.translate(table)
+        digits[v - 1 - s::v] = marks if v <= 256 else marks.encode()
+    return [int(digits[i:i + k * v], 2) for i in range(0, len(digits), k * v)][::-1]
+
+
+def _class_forms(arr: TestArray) -> tuple[list[int], list[int]]:
+    return _class_masks(arr), _row_masks(arr)  # both forms of the column classes
 
 
 def _class_folds(arr: TestArray, op, empty: int):
@@ -115,7 +129,7 @@ def verify_la(arr: TestArray, variant: Variant = VARIANT_11) -> Verdict:
     """
     full = (1 << arr.n_rows) - 1
     seen: dict[int, tuple[int, int]] = {}
-    for (c, s), rows in zip(product(range(1, arr.k + 1), range(arr.v)), _class_forms(arr)[0]):
+    for (c, s), rows in zip(product(range(1, arr.k + 1), range(arr.v)), _class_masks(arr)):
         if variant.d_barred and not rows:
             return Verdict(False, "empty class", ((c, s),))
         if variant.t_barred and rows == full:

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # each ASCII digit to its value
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")  # and back
 
 
 def _looks_like_json(text: str) -> bool:
@@ -71,8 +72,6 @@ def _ints(tokens: list[str]) -> tuple[int, ...]:
     if tokens and not (digits.isascii() and digits.isdigit()):
         bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
         raise ValueError(f"expected a decimal number, got {bad!r:.40}")
-    if len(digits) == len(tokens):  # split tokens, none empty: one digit each, read in one pass
-        return tuple(digits.encode().translate(_DIGIT_VALUES))
     return tuple(map(int, tokens))
 
 
@@ -137,10 +136,14 @@ def format_array(arr: TestArray, fmt: str = "text") -> str:
             "rows": [list(r) for r in arr.rows],
         }
         return _json(doc)
+    header = f"{arr.n_rows} {arr.k} {arr.v}\n"
+    if arr.v <= 10 and arr.k:  # one digit a symbol in the even slots, a newline ending each row
+        text = bytearray(b" " * (2 * arr.k * arr.n_rows))
+        text[::2] = b"".join(arr.rows).translate(_DIGIT_CHARS)
+        text[2 * arr.k - 1::2 * arr.k] = b"\n" * arr.n_rows
+        return header + text.decode()
     names = [str(s) for s in range(arr.v)]
-    lines = [f"{arr.n_rows} {arr.k} {arr.v}"]
-    lines += [" ".join(map(names.__getitem__, r)) for r in arr.rows]
-    return "\n".join(lines) + "\n"
+    return header + "".join(" ".join(map(names.__getitem__, r)) + "\n" for r in arr.rows)
 
 
 def parse_array(text: str) -> TestArray:
@@ -163,7 +166,10 @@ def parse_array(text: str) -> TestArray:
             raise ValueError(f"unexpected lines after the {n} declared rows")
         rows = []
         for ln in body[:n]:
-            row = _ints(ln.split())
+            b = ln.encode() if ln.isascii() else b""  # one-digit entries, as format_array writes
+            even = b[::2]  # then the entries, and b[1::2] the single spaces between them
+            canonical = len(b) == 2 * k - 1 and even.isdigit() and not b[1::2].translate(None, b" ")
+            row = even.translate(_DIGIT_VALUES) if canonical else _ints(ln.split())
             if len(row) != k:
                 raise ValueError(f"expected {k} entries per row, got {len(row)}")
             rows.append(row)

@@ -69,6 +69,35 @@ class TestTestArray:
         with pytest.raises(ValueError, match=r"^entry 1 outside 0\.\.0$"):
             ARR34._replace(v=1)
 
+    def test_rows_are_bytes_while_every_symbol_fits_a_byte(self):
+        small = TestArray(tuple((r, 255 - r) for r in range(255)), 256)
+        large = TestArray(tuple((r, 256 - r) for r in range(256)), 257)
+        assert {type(r) for r in small.rows} == {bytes} and small.rows[1] == b"\x01\xfe"
+        assert {type(r) for r in large.rows} == {tuple} and large.rows[0] == (0, 256)
+        for arr in (small, large):
+            copy = pickle.loads(pickle.dumps(arr))
+            assert copy == arr and type(copy) is TestArray and copy.rows == arr.rows
+
+    def test_rows_of_any_form_with_equal_entries_make_equal_arrays(self):
+        for v in (3, 257):  # entries below 256, so that bytes can hold them too
+            entries = [[r % 3, (r * 7 + 1) % min(v, 256)] for r in range(max(v - 1, 2))]
+            arrays = [TestArray([form(r) for r in entries], v)
+                      for form in (list, tuple, bytearray, bytes, iter)]
+            assert all(a == arrays[0] and hash(a) == hash(arrays[0]) for a in arrays), v
+
+    def test_byte_rows_name_the_first_bad_entry(self):
+        for rows, v, bad in [
+            (((0, 1), (2, 0), (-1, 0)), 2, r"2 outside 0\.\.1"),
+            ((b"\x00\x01", bytearray(b"\x01\x00"), (0, -1)), 2, r"-1 outside 0\.\.1"),
+            (tuple((r,) for r in range(255)) + ((256,), (-1,)), 256, r"256 outside 0\.\.255"),
+        ]:
+            with pytest.raises(ValueError, match=f"^entry {bad}$"):
+                TestArray(rows, v)
+
+    def test_a_row_given_as_an_int_is_not_a_row_of_zero_bytes(self):
+        with pytest.raises(TypeError):
+            TestArray((3, 3), 2)
+
 
 class TestSpreadsToArray:
     """The array of a spread system: its rows, on the system's v symbols."""
@@ -80,17 +109,17 @@ class TestSpreadsToArray:
     def test_identity_column(self):
         system = SpreadSystem(3, 3, (bytearray([0]), bytearray([1]), bytearray([2])))
         arr = spreads_to_array(system)
-        assert arr.rows == ((0,), (1,), (2,))
+        assert arr.rows == (b"\x00", b"\x01", b"\x02")
         assert system.spreads == (((1,), (2,), (3,)),)
 
     def test_blocks_take_symbols_in_list_order(self):
         system = SpreadSystem(3, 2, (bytearray([1]), bytearray([0]), bytearray([0])))
-        assert spreads_to_array(system).rows == ((1,), (0,), (0,))
+        assert spreads_to_array(system).rows == (b"\x01", b"\x00", b"\x00")
         assert system.spreads == (((2, 3), (1,)),)
 
     def test_no_spreads_give_empty_rows(self):
         arr = spreads_to_array(SpreadSystem(3, 2, (bytearray(), bytearray(), bytearray())))
-        assert arr.rows == ((), (), ()) and arr.k == 0
+        assert arr.rows == (b"", b"", b"") and arr.k == 0
 
     def test_v_comes_from_the_system(self):
         # rows that use positions 0 and 1 only still make an array on the system's 3 symbols

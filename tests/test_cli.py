@@ -219,6 +219,8 @@ class TestVerify:
         arr_file = tmp_path / "arr.txt"
         for text, message in [
             ("2 3 2\n0 1 0\n1 0\n", "expected 3 entries per row, got 2"),
+            # no buffer is sized by the declared k, which is outside input
+            ("1 100000000000000 2\n0 1\n", "expected 100000000000000 entries per row, got 2"),
             ('{"n": 2, "k": 3, "v": 2, "rows": [[0, 1], [1, 0]]}', "array header disagrees with its rows"),
         ]:
             arr_file.write_text(text)
@@ -263,6 +265,9 @@ class TestStrictNumbers:
         ("verify", "-1 2 2\n", "'-1'"),  # int() reads -1 rows
         ("verify", "1 2 2\n0 \u0661\n", "'\u0661'"),  # int() reads the Arabic-Indic 1
         ("verify", "1 +2 2\n0 1\n", "'+2'"),
+        ("verify", "1 2 2\n0 +\n", "'+'"),  # laid out as format_array writes, not a digit
+        ("verify", "1 2 2\n\x01 0\n", "'\\x01'"),  # a control byte, not symbol 1
+        ("verify", "1 2 2\n0,1\n", "'0,1'"),  # one-digit entries with no space between
         ("realize", "N +4\nv 2\n1 x 2 2\n", "'+4'"),
         ("realize", "N 4\nv 2\n1 x 2 +2\n", "'+2'"),
         ("realize", "N 4\nv 2\n1_0 x 2 2\n", "'1_0'"),
@@ -277,7 +282,7 @@ class TestStrictNumbers:
             assert err == f"error: expected a decimal number, got {token}\n", (command, text)
 
     def test_leading_zeros_and_padding_still_parse(self):
-        assert parse_array("02 2 2\n 0  01 \n1\t00\n").rows == ((0, 1), (1, 0))
+        assert parse_array("02 2 2\n 0  01 \n1\t00\n").rows == (b"\x00\x01", b"\x01\x00")
         assert parse_type("N 4\nv 2\n1  x 2 02\n") == parse_type("N 4\nv 2\n1 x 2 2\n")
 
 

@@ -76,6 +76,15 @@ def digit_rows(draw):
     return v, draw(st.lists(st.lists(token, min_size=k, max_size=k), min_size=n, max_size=n))
 
 
+@st.composite
+def one_digit_arrays(draw):
+    """Arrays with v <= 10, whose text format_array writes one digit a symbol."""
+    v = draw(st.integers(1, 10))
+    n, k = draw(st.integers(max(v - 1, 0), v + 2)), draw(st.integers(0, 6))
+    row = st.lists(st.integers(0, v - 1), min_size=k, max_size=k)
+    return TestArray(draw(st.lists(row, min_size=n, max_size=n)), v)
+
+
 GARBAGE = (
     st.text()
     | documents("n", "v", "shapes")
@@ -102,7 +111,23 @@ class TestRoundTrip:
         """Rows of one-digit tokens take a faster path than the others: both give int()."""
         v, rows = doc
         text = f"{len(rows)} {len(rows[0])} {v}\n" + "".join(" ".join(r) + "\n" for r in rows)
-        assert parse_array(text).rows == tuple(tuple(map(int, r)) for r in rows)
+        assert tuple(map(tuple, parse_array(text).rows)) == tuple(tuple(map(int, r)) for r in rows)
+
+
+    @PROPERTY
+    @given(one_digit_arrays(), st.data())
+    def test_respaced_rows_parse_as_the_canonical_text_does(self, arr, data):
+        """The lines format_array writes take a faster path than any other spacing."""
+        blanks = st.sampled_from(["", " ", "\t", "  ", " \t "])
+        lines = []
+        for row in arr.rows:
+            tokens = [data.draw(st.sampled_from(["", "0", "00"])) + str(a) for a in row]
+            line = tokens[0] if tokens else ""
+            for token in tokens[1:]:
+                line += data.draw(blanks.filter(bool)) + token
+            lines.append(data.draw(blanks) + line + data.draw(blanks))
+        respaced = f"{arr.n_rows} {arr.k} {arr.v}\n" + "".join(ln + "\n" for ln in lines)
+        assert parse_array(format_array(arr)) == arr == parse_array(respaced)
 
 
 class TestFuzz:
