@@ -7,7 +7,7 @@ interaction is covered by every row.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import and_, or_
 from typing import NamedTuple
 
@@ -62,61 +62,54 @@ class TestArray(NamedTuple("TestArray", [("rows", tuple), ("v", int)])):
         return len(self.rows[0]) if self.rows else 0
 
 
-def _tables(v: int):
-    """Per symbol s, the translate table that makes s the digit 1 and any other symbol 0."""
-    zero, one, width = (b"0", b"1", 256) if v <= 256 else ("0", "1", v)  # chr reaches 0x110000
-    return (zero * s + one + zero * (width - 1 - s) for s in range(v))
+# per bit b, the 256-byte table that makes a byte the digit 1 when its bit b is set, else 0
+_BITS = [(b"0" * 2**b + b"1" * 2**b) * (128 >> b) for b in range(8)]
 
 
 def _class_masks(arr: TestArray) -> list[int]:
     """Per class (c, s) in column-major order, its row bitmask: bit r-1 set when row r
-    shows s in column c, read by int(..., 2) off the columns translated to binary digits."""
-    n, k = arr.n_rows, arr.k
-    if arr.v <= 256:
-        columns = bytearray(k * n)  # column by column, the last row first
-        for i, line in enumerate(reversed(arr.rows)):
-            columns[i::n] = line
-    else:
-        columns = "".join(map(chr, chain.from_iterable(zip(*reversed(arr.rows)))))
-    marks = list(map(columns.translate, _tables(arr.v)))
+    shows s in column c. While v <= 256 it is read by int(..., 2) off the columns
+    translated to binary digits; above, each entry sets its bit."""
+    n, k, v = arr.n_rows, arr.k, arr.v
+    if v > 256:  # no symbol limit: linear in the entries and the masks
+        masks = [0] * (k * v)
+        for r, line in enumerate(arr.rows):
+            bit = 1 << r
+            for c, s in enumerate(line):
+                masks[c * v + s] |= bit
+        return masks
+    columns = bytearray(k * n)  # column by column, the last row first
+    for i, line in enumerate(reversed(arr.rows)):
+        columns[i::n] = line
+    marks = [columns.translate(b"0" * s + b"1" + b"0" * (255 - s)) for s in range(v)]
     return [int(bits[i:i + n], 2) for i in range(0, k * n, n) for bits in marks] if k else []
-
-
-def _row_masks(arr: TestArray) -> list[int]:
-    """Per row, bit (c-1)*v + s set when the row shows s in column c."""
-    k, v = arr.k, arr.v
-    if not k:
-        return [0] * arr.n_rows
-    rows = b"".join(arr.rows) if v <= 256 else "".join(map(chr, chain.from_iterable(arr.rows)))
-    rows, digits = rows[::-1], bytearray(len(rows) * v)  # the last row first
-    for s, table in enumerate(_tables(v)):  # the v digits of an entry, s last
-        marks = rows.translate(table)
-        digits[v - 1 - s::v] = marks if v <= 256 else marks.encode()
-    return [int(digits[i:i + k * v], 2) for i in range(0, len(digits), k * v)][::-1]
-
-
-def _class_forms(arr: TestArray) -> tuple[list[int], list[int]]:
-    return _class_masks(arr), _row_masks(arr)  # both forms of the column classes
 
 
 def _class_folds(arr: TestArray, op, empty: int):
     """Per class in column-major order, the op-fold of the by-row masks of its
-    rows (`empty` for none) in ceil(n/8) lookups. Four-Russians tables hold, per
-    chunk of up to 8 rows, the fold of each subset of them: 2^8 masks of v*k
-    bits where the by-row form holds 8, 32 times its memory."""
-    classes, by_row = _class_forms(arr)
+    rows (`empty` for none) in ceil(n/8) lookups. The class masks become
+    ceil(n/8) little-endian bytes each, once; byte i of every class, translated
+    by bit b's table, reversed and read in base 2, is the by-row mask of row
+    8i + b: bit (c-1)*v + s set when the row shows s in column c. Four-Russians
+    tables hold, per chunk of up to 8 rows, the fold of each subset of them: 2^8
+    masks of v*k bits where the by-row form holds 8, 32 times its memory."""
+    classes = _class_masks(arr)
+    if not classes:
+        return
+    size = (arr.n_rows + 7) // 8  # bytes per class; byte i holds rows 8i..8i+7
+    data = b"".join(map(int.to_bytes, classes, repeat(size), repeat("little")))
     tables = []
-    for start in range(0, arr.n_rows, 8):
-        table = [empty]  # bit i of the index stands for row start + i
-        for mask in by_row[start:start + 8]:
+    for i in range(size):
+        byte, table = data[i::size], [empty]  # bit b of the index stands for row 8i + b
+        for bits in _BITS[:arr.n_rows - 8 * i]:
+            mask = int(byte.translate(bits)[::-1], 2)
             table += list(map(op, table, repeat(mask)))
         tables.append(table)
     for start in range(0, len(classes), 64):  # 64 folds at a time, each step a C loop
-        block = classes[start:start + 64]
-        chunks = b"".join(map(int.to_bytes, block, repeat(len(tables)), repeat("little")))
-        folds = [empty] * len(block)
+        end = min(start + 64, len(classes)) * size
+        folds = [empty] * (end // size - start)
         for i, table in enumerate(tables):
-            folds = list(map(op, folds, map(table.__getitem__, chunks[i::len(tables)])))
+            folds = list(map(op, folds, map(table.__getitem__, data[start * size + i:end:size])))
         yield from folds
 
 

@@ -61,8 +61,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     v_lo = args.v_min
     v_hi = args.v_max if args.v_max is not None else n_hi + 1
     if n_lo > n_hi or v_lo > v_hi:
-        print("error: empty table range", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty table range")
     vs = list(range(v_lo, v_hi + 1))
     rows = [(n, [max_columns(n, v, variant) for v in vs]) for n in range(n_lo, n_hi + 1)]
     _emit(format_table(variant, vs, rows, args.format), args.out)
@@ -135,16 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, variant: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, variant: bool = True, document: bool = True) -> None:
         if variant:
             p.add_argument("--variant", choices=VARIANT_CHOICES, default="11")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if document:  # bound prints a bare number
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE", default=None)
 
     p = sub.add_parser("bound", help="print the exact optimal column count")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    common(p)
+    common(p, document=False)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("table", help="grid of optimal column counts over a range")
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("array_file", nargs="?", default="-", help="array document ('-' = stdin)")
     p.add_argument("--v", type=int, default=None, help="cross-check the declared symbol count")
     p.add_argument("--check", choices=("la", "ca2", "da11"), default="la")
-    p.add_argument("--variant", choices=VARIANT_CHOICES, default="11")
+    p.add_argument("--variant", choices=VARIANT_CHOICES, default="11",
+                   help="the variant that --check la checks; ca2 and da11 read none")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive maximum search on a tiny ground set")

@@ -79,10 +79,6 @@ class VType(NamedTuple("VType", [("n", int), ("v", int), ("shapes", tuple)])):
         """Total number of shapes, counted with multiplicity."""
         return sum(count for _, count in self.shapes)
 
-    def sigma(self, x: int) -> int:
-        """Number of size-x slots across all shapes, counted with multiplicity."""
-        return sum(shape.count(x) * count for shape, count in self.shapes)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{list(s.entries)}x{c}" for s, c in self.shapes)
         return f"VType(n={self.n}, v={self.v}, [{body}])"

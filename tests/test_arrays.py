@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from operator import and_, or_
@@ -22,7 +23,7 @@ from locarray import (
     verify_da11,
     verify_la,
 )
-from locarray.arrays import _class_folds, _class_forms
+from locarray.arrays import _class_folds, _class_masks
 from locarray.spread_types import SpreadSystem
 from conftest import random_array
 
@@ -302,27 +303,43 @@ class TestChunkEdges:
                 outcomes["la"].add(got.ok)
         assert outcomes == {"ca2": {True, False}, "da11": {True, False}, "la": {True, False}}
 
+    EDGES = [TestArray((), 1), TestArray(((), (), ()), 2), TestArray(((0, 0, 0),), 1),
+             TestArray(((0, 1, 2), (2, 2, 0)), 3), TestArray(((0,), (0,), (0,)), 1),
+             TestArray(tuple((r % 5, 3 - r % 4) for r in range(4)), 5),
+             # the last v whose symbols are bytes, and the first past it
+             TestArray(tuple((r, 255 - r % 3) for r in range(255)), 256),
+             TestArray(tuple((r, 256 - r % 3) for r in range(256)), 257)]
+
     def test_class_forms_match_entry_by_entry(self):
-        edges = [TestArray((), 1), TestArray(((), (), ()), 2), TestArray(((0, 0, 0),), 1),
-                 TestArray(((0, 1, 2), (2, 2, 0)), 3), TestArray(((0,), (0,), (0,)), 1),
-                 TestArray(tuple((r % 5, 3 - r % 4) for r in range(4)), 5),
-                 # the last v whose symbols are bytes, and the first past it
-                 TestArray(tuple((r, 255 - r % 3) for r in range(255)), 256),
-                 TestArray(tuple((r, 256 - r % 3) for r in range(256)), 257)]
-        for arr in [*edges, *self.arrays()]:
-            assert _class_forms(arr) == reference_forms(arr), arr
+        for arr in [*self.EDGES, *self.arrays()]:
+            assert _class_masks(arr) == reference_forms(arr)[0], arr
 
     def test_folds_across_blocks_of_classes(self):
-        """Folds come in blocks of 64 classes: here 256, 257, 258 and 513 of them."""
+        """Folds come in blocks of 64 classes: here 256, 257, 258 and 513 of them, on
+        8, 9, 16 and 17 rows, which end on and across the byte borders of a class mask."""
         rng = random.Random(256)
-        for v, k in ((2, 128), (1, 257), (2, 129), (3, 171)):
-            arr = TestArray(tuple(tuple(rng.randrange(v) for _ in range(k)) for _ in range(9)), v)
+        blocks = [TestArray(tuple(tuple(rng.randrange(v) for _ in range(k)) for _ in range(n)), v)
+                  for n in (8, 9, 16, 17) for v, k in ((2, 128), (1, 257), (2, 129), (3, 171))]
+        for arr in [*self.EDGES, *blocks]:
+            v, k = arr.v, arr.k
             by_class, by_row = reference_forms(arr)
             full = (1 << k * v) - 1
             for op, empty in ((or_, 0), (and_, full)):
                 want = [reduce(op, (m for r, m in enumerate(by_row) if rows >> r & 1), empty)
                         for rows in by_class]
-                assert list(_class_folds(arr, op, empty)) == want, (v, k, op)
+                assert list(_class_folds(arr, op, empty)) == want, (arr.n_rows, v, k, op)
+
+    def test_many_symbols_take_one_pass(self):
+        """Above v = 256 each entry sets one bit of its class: a permutation column
+        of 2000 rows on 2001 symbols verifies in one pass, not one per symbol."""
+        arr = TestArray(tuple((s,) for s in random.Random(2001).sample(range(2001), 2000)), 2001)
+        tracemalloc.start()
+        try:
+            verdict = verify_la(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok and peak < 1.5 * 2**20, peak
 
 
 class TestTooManySymbols:

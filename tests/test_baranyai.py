@@ -83,7 +83,8 @@ class TestInitRealization:
             state = init_realization(t)
             assert len(groups_of(state)) == t.size()
             slots = sum(m for g in decoded(state) for _blk, m in g)
-            padding = sum(x * (binomial(t.n, x) - t.sigma(x)) for x in range(t.n + 1))
+            sigma = [sum(s.count(x) * c for s, c in t.shapes) for x in range(t.n + 1)]
+            padding = sum(x * (binomial(t.n, x) - sigma[x]) for x in range(t.n + 1))
             assert slots + padding == t.n * 2 ** (t.n - 1)
             assert check_realization(state)
 

@@ -60,6 +60,12 @@ class TestTable:
         assert doc["variant"] == "11"
         assert doc["rows"][-1] == {"n": 3, "values": [4, 1]}
 
+    def test_empty_range_is_usage_error(self, capsys):
+        for bounds in (["--n-min", "5", "--n-max", "3"],
+                       ["--n-max", "3", "--v-min", "4", "--v-max", "3"]):
+            code, out, err = run(["table", *bounds], capsys)
+            assert (code, out, err) == (2, "", "error: empty table range\n"), bounds
+
 
 class TestTypeRealizeGenerate:
     def test_type_document(self, capsys):
@@ -324,6 +330,12 @@ class TestExitCodes:
                 assert out.startswith("violated: ") and err == "", argv
             elif code:
                 assert err.startswith("error: "), argv
+
+    def test_bound_takes_no_format(self, capsys):
+        # bound prints a bare number, so --format is an unknown flag, as argparse reports it
+        code, out, err = run(["bound", "--N", "10", "--v", "3", "--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("\nlocarray: error: unrecognized arguments: --format json\n"), err
 
 
 class TestOracle:

@@ -81,12 +81,6 @@ class TestVType:
         with pytest.raises(ValueError):
             VType(4, 2, [(Shape((1, 3)), 0)])
 
-    def test_sigma(self):
-        t = VType(6, 3, {Shape((1, 2, 3)): 6, Shape((2, 2, 2)): 3})
-        assert t.sigma(2) == 6 + 9
-        assert t.sigma(1) == 6
-        assert t.sigma(5) == 0
-
     def test_needs_a_row_and_two_symbols(self):
         with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
             VType(0, 2)
@@ -382,7 +376,7 @@ def fill_blocks(t):
 
 def slack(t):
     """Size -> C(n, x) - sigma(x), for every size below its capacity."""
-    gaps = {x: binomial(t.n, x) - t.sigma(x) for x in range(t.n + 1)}
+    gaps = {x: binomial(t.n, x) - sum(s.count(x) * c for s, c in t.shapes) for x in range(t.n + 1)}
     return {x: gap for x, gap in gaps.items() if gap}
 
 
